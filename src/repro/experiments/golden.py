@@ -10,10 +10,10 @@ regression tests and the wall-clock benchmark harness.
 
 Two digest sets are kept:
 
-* ``full`` — every headline experiment (tables 1–5, figures 6–10, chaos,
-  failover, observe) at the paper's full 100-simulated-second duration,
-  seed 42. Verified by ``python -m repro.experiments bench``.
-* ``short`` — figure9 / chaos / failover at a 10-simulated-second
+* ``full`` — every id in ``GOLDEN_IDS`` at the paper's full
+  100-simulated-second duration, seed 42. Verified by
+  ``python -m repro.experiments bench``.
+* ``short`` — every id in ``SHORT_IDS`` at a 10-simulated-second
   duration, seed 42. Cheap enough for the tier-1 test suite
   (``tests/experiments/test_golden_digests.py``).
 
@@ -78,6 +78,7 @@ SHORT_IDS = (
     "chaos",
     "failover",
     "cluster",
+    "observe",
     "sens_costs",
     "sens_knockouts",
     "transport",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..sim.trace import TraceEvent
 
@@ -54,9 +54,9 @@ def percentile(sorted_values: list[float], pct: float) -> float:
     return sorted_values[rank - 1]
 
 
-@dataclass(frozen=True)
-class CompletedSpan:
-    """A begin/end pair folded into one record."""
+class CompletedSpan(NamedTuple):
+    """A begin/end pair folded into one record (an immutable tuple, like
+    :class:`~repro.sim.trace.TraceEvent`)."""
 
     span_id: int
     hop: str
@@ -169,19 +169,11 @@ class LatencyBreakdown:
                 begin = open_spans.pop(sid, None)
                 if begin is None:
                     continue  # begin fell off the ring; duration unknowable
-                merged = {
-                    k: v
-                    for k, v in {**begin.fields, **ev.fields}.items()
-                    if k not in ("ph", "span")
-                }
+                # both carry ph and span; the rest keep first-seen order
+                merged = {**begin.fields, **ev.fields}
+                del merged["ph"], merged["span"]
                 self.spans.append(
-                    CompletedSpan(
-                        span_id=sid,
-                        hop=begin.name,
-                        begin_us=begin.time_us,
-                        end_us=ev.time_us,
-                        fields=merged,
-                    )
+                    CompletedSpan(sid, begin.name, begin.time_us, ev.time_us, merged)
                 )
         self.unfinished = len(open_spans)
 

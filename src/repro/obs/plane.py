@@ -11,9 +11,10 @@ Instrumented code follows one pattern everywhere::
 ``Environment.__init__`` pre-resolves the hook slot to ``None``, so with
 no plane attached every datapath hook costs one plain attribute load (no
 ``getattr``-with-default machinery). With a plane attached but the span
-category filtered out, ``begin`` returns ``None`` and ``end(None)`` is a
-no-op — the same near-zero-cost contract the fault plane and
-``Tracer.wants`` already set.
+category filtered out, ``begin`` returns ``None`` after one set-membership
+test and ``end(None)`` after one ``None`` test; the call and its keyword
+dict are all they cost. A recorded span event allocates that dict, as its
+payload, and one tuple.
 
 Span events live in category ``"span"``; instant markers (crashes,
 failovers, drops) in ``"event"``. Both ride the ordinary
@@ -46,7 +47,7 @@ EVENT_CATEGORY = "event"
 #: in their own category so a cluster run can record the stitched
 #: cross-node story *without* paying for the millions of per-frame
 #: datapath spans — pass ``categories=CLUSTER_CATEGORIES`` to the plane
-#: and the datapath's ``begin()`` calls filter out in one predicate check.
+#: and the datapath's ``begin()`` calls filter out in one membership test.
 CLUSTER_CATEGORY = "cluster"
 CLUSTER_CATEGORIES = (CLUSTER_CATEGORY, EVENT_CATEGORY)
 
@@ -74,7 +75,11 @@ class ObservabilityPlane:
     ) -> None:
         self.env = env
         self.tracer = Tracer(env, categories=categories, capacity=capacity)
-        self.registry = MetricsRegistry()
+        self.registry = registry = MetricsRegistry()
+        # the metric hooks record in one frame: they *are* the registry's
+        self.count = registry.count
+        self.gauge = registry.gauge
+        self.observe = registry.observe
 
     def install(self) -> "ObservabilityPlane":
         """Bind into the environment's hook slot (idempotent)."""
@@ -101,12 +106,16 @@ class ObservabilityPlane:
         (``cpu:host0``, ``bus:pci1``, ``card:rd0``...). Control-plane
         emitters pass ``category=CLUSTER_CATEGORY`` so a filtered plane
         keeps them while shedding the per-frame datapath spans."""
+        tracer = self.tracer
+        if tracer.categories is not None and category not in tracer.categories:
+            return None
         if track is not None:
             fields["track"] = track
-        return self.tracer.begin_span(category, hop, parent=parent, **fields)
+        return tracer._begin(category, hop, parent, fields)
 
     def end(self, span_id: Optional[int], **fields: Any) -> None:
-        self.tracer.end_span(span_id, **fields)
+        if span_id is not None:
+            self.tracer._end(span_id, fields)
 
     def instant(
         self, name: str, track: Optional[str] = None, **fields: Any
@@ -115,16 +124,6 @@ class ObservabilityPlane:
         if track is not None:
             fields["track"] = track
         self.tracer.instant(EVENT_CATEGORY, name, **fields)
-
-    # -- metrics ----------------------------------------------------------------
-    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        self.registry.count(name, amount, **labels)
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        self.registry.gauge(name, value, **labels)
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        self.registry.observe(name, value, **labels)
 
     # -- convenience -------------------------------------------------------------
     def span_events(self):

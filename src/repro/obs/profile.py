@@ -190,20 +190,17 @@ class WallClockProfiler:
         return rows[:top] if top is not None else rows
 
     def package_rollup(self) -> dict[str, float]:
-        """Sample share per top-level package family — the ROADMAP-3c view
-        (``repro.core`` / ``repro.sim`` / ``repro.dvcm`` / ...)."""
-        families = ("repro.core", "repro.sim", "repro.dvcm", "repro.hw", "repro.obs")
-        shares: dict[str, float] = {f: 0.0 for f in families}
-        shares["other"] = 0.0
-        total = self.samples or 1
+        """Sample share per package ``repro.<pkg>`` of each sample's leaf
+        module (``repro.net.ttp`` -> ``repro.net``), sorted, then
+        ``"other"`` (always present) for leaves outside ``repro``."""
+        counts: dict[str, int] = {}
         for stack, count in self.stacks.items():
-            module = stack[-1].split(":", 1)[0]
-            for fam in families:
-                if module == fam or module.startswith(fam + "."):
-                    shares[fam] += count / total
-                    break
-            else:
-                shares["other"] += count / total
+            parts = stack[-1].split(":", 1)[0].split(".")
+            family = ".".join(parts[:2]) if parts[0] == "repro" else "other"
+            counts[family] = counts.get(family, 0) + count
+        total = self.samples or 1
+        shares = {f: counts[f] / total for f in sorted(counts) if f != "other"}
+        shares["other"] = counts.get("other", 0) / total
         return shares
 
     def render_hotspots(self, top: int = 15) -> str:

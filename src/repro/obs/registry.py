@@ -3,13 +3,15 @@
 One :class:`MetricsRegistry` per observability plane collects every metric
 the instrumented datapath produces, keyed by ``(name, sorted label set)``.
 Labels are plain keyword arguments (``registry.count("nic.crashes",
-card="rd0")``), so call sites stay one-liners. Snapshots are plain nested
-dicts with deterministic ordering — same run, same seed, byte-identical
-JSON — which is what the CI determinism smoke diffs.
+card="rd0")``), so call sites stay one-liners; a repeated call finds its
+series with one dict lookup keyed ``(name, *labels.items())``. Snapshots
+are plain nested dicts with deterministic ordering — same run, same seed,
+byte-identical JSON — which is what the CI determinism smoke diffs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -60,9 +62,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
     def snapshot(self) -> float:
         return self.value
 
@@ -98,11 +97,7 @@ class Histogram:
             self.min_value = value
         if self.max_value is None or value > self.max_value:
             self.max_value = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -130,6 +125,10 @@ class MetricsRegistry:
         self._metrics: dict[str, dict[LabelKey, Any]] = {}
         # name -> histogram bucket override
         self._buckets: dict[str, tuple[float, ...]] = {}
+        # (name, *labels.items()) -> metric; per kind, so a kind clash misses
+        self._counters: dict[tuple, Counter] = {}
+        self._gauges: dict[tuple, Gauge] = {}
+        self._histograms: dict[tuple, Histogram] = {}
 
     # -- declaration ---------------------------------------------------------
     def declare_histogram(self, name: str, buckets: tuple[float, ...]) -> None:
@@ -145,7 +144,8 @@ class MetricsRegistry:
         elif bound != kind:
             raise TypeError(f"metric {name!r} already registered as {bound}, not {kind}")
 
-    def _series(self, name: str, kind: str, labels: dict[str, Any]) -> Any:
+    def _series(self, name: str, kind: str, labels: dict[str, Any], cache: dict) -> Any:
+        """The miss path: kind check, canonical series by sorted labels."""
         self._check_kind(name, kind)
         key = _label_key(labels)
         series = self._metrics[name]
@@ -158,20 +158,30 @@ class MetricsRegistry:
             else:
                 metric = Histogram(name, buckets=self._buckets.get(name, DEFAULT_BUCKETS_US))
             series[key] = metric
+        cache[(name, *labels.items())] = metric
         return metric
 
     # -- recording ------------------------------------------------------------
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        self._series(name, "counter", labels).inc(amount)
+        counter = self._counters.get((name, *labels.items()))
+        if counter is None:
+            counter = self._series(name, "counter", labels, self._counters)
+        counter.inc(amount)
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
-        self._series(name, "gauge", labels).set(value)
+        gauge = self._gauges.get((name, *labels.items()))
+        if gauge is None:
+            gauge = self._series(name, "gauge", labels, self._gauges)
+        gauge.set(value)
 
     def gauge_add(self, name: str, delta: float, **labels: Any) -> None:
-        self._series(name, "gauge", labels).add(delta)
+        self.gauge(name, self.value(name, **labels) + delta, **labels)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        self._series(name, "histogram", labels).observe(value)
+        histogram = self._histograms.get((name, *labels.items()))
+        if histogram is None:
+            histogram = self._series(name, "histogram", labels, self._histograms)
+        histogram.observe(value)
 
     # -- reading ---------------------------------------------------------------
     def get(self, name: str, **labels: Any) -> Optional[Any]:

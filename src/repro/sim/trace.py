@@ -10,16 +10,17 @@ external tooling.
 Beyond point events, the tracer records **spans**: begin/end pairs with
 optional parent links, the substrate of the observability plane's
 per-frame datapath traces (:mod:`repro.obs`). A span begun under a
-filtered-out category costs one predicate check and returns ``None``;
-``end_span(None)`` is a no-op, so instrumented code needs no second guard.
+filtered-out category returns ``None`` before any payload is built (the
+plane's ``begin`` after one set-membership test); ``end_span(None)`` is a
+no-op, so instrumented code needs no second guard.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
@@ -32,14 +33,13 @@ __all__ = ["TraceEvent", "Tracer", "RESERVED_FIELD_KEYS"]
 RESERVED_FIELD_KEYS = frozenset({"t", "cat", "name"})
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded occurrence."""
+class TraceEvent(NamedTuple):
+    """One recorded occurrence (a tuple: immutable, and one allocation)."""
 
     time_us: float
     category: str
     name: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    fields: Mapping[str, Any] = MappingProxyType({})  # shared: read-only
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -105,9 +105,7 @@ class Tracer:
         self.emitted += 1
         if len(self._events) == self.capacity:
             self.discarded += 1  # deque drops the oldest on append
-        self._events.append(
-            TraceEvent(time_us=self.env.now, category=category, name=name, fields=fields)
-        )
+        self._events.append(TraceEvent(self.env.now, category, name, fields))
 
     # -- spans ---------------------------------------------------------------
     def begin_span(
@@ -124,31 +122,41 @@ class Tracer:
         """
         if not self.wants(category):
             return None
-        self._span_seq += 1
-        span_id = self._span_seq
-        self._open_spans[span_id] = (category, name, self.env.now)
-        payload = {**fields, "ph": "B", "span": span_id}
-        if parent is not None:
-            payload["parent"] = parent
-        self._record(category, name, payload)
-        return span_id
+        return self._begin(category, name, parent, fields)
 
     def end_span(self, span_id: Optional[int], **fields: Any) -> None:
         """Close a span opened by :meth:`begin_span`."""
-        if span_id is None:
-            return
+        if span_id is not None:
+            self._end(span_id, fields)
+
+    def _begin(self, category: str, name: str, parent: Optional[int], fields: dict) -> int:
+        """Record a span begin past the filter. *fields* is the caller's own
+        keyword dict, made the payload: its keys, ``ph``, ``span``, ``parent``."""
+        self._span_seq += 1
+        span_id = self._span_seq
+        self._open_spans[span_id] = (category, name, self.env.now)
+        fields["ph"] = "B"
+        fields["span"] = span_id
+        if parent is not None:
+            fields["parent"] = parent
+        self._record(category, name, fields)
+        return span_id
+
+    def _end(self, span_id: int, fields: dict) -> None:
         opened = self._open_spans.pop(span_id, None)
         if opened is None:
             self.unbalanced_ends += 1
             return
-        category, name, _begin_us = opened
-        self._record(category, name, {**fields, "ph": "E", "span": span_id})
+        fields["ph"] = "E"
+        fields["span"] = span_id
+        self._record(opened[0], opened[1], fields)
 
     def instant(self, category: str, name: str, **fields: Any) -> None:
         """Record a zero-duration marker (rendered as an instant event)."""
         if not self.wants(category):
             return
-        self._record(category, name, {**fields, "ph": "i"})
+        fields["ph"] = "i"
+        self._record(category, name, fields)
 
     @property
     def open_span_count(self) -> int:

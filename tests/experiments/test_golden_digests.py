@@ -1,7 +1,9 @@
 """Golden-trace regression tests.
 
 The kernel fast-path work claims bit-identical behaviour; these tests hold
-it to that. The ``short`` digest set (figure9 / chaos / failover at 10
+it to that. The ``short`` digest set (every experiment in
+``golden.SHORT_IDS`` — figure9, the chaos/failover/cluster/observe
+campaigns, both sensitivity runners, transport, pdescluster — at 10
 simulated seconds, seed 42) is *recomputed on every tier-1 run* and
 compared byte-for-byte against the checked-in ``golden_digests.json``. The
 ``full`` set is too slow for tier-1 — the bench harness

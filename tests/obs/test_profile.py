@@ -94,11 +94,27 @@ class TestAnalysis:
         assert len(self.make().hotspots(top=1)) == 1
 
     def test_package_rollup_families(self):
-        shares = self.make().package_rollup()
-        assert shares["repro.core"] == 0.6
-        assert shares["repro.sim"] == 0.3
-        assert shares["other"] == 0.1
+        prof = self.make()
+        prof.stacks[("repro.experiments.bench:main", "repro.net.ttp:_on_data")] = 5
+        prof.stacks[("repro.experiments.bench:main", "repro.net.udp:send")] = 3
+        prof.stacks[("repro.rtos.kernel:_dispatcher",)] = 2
+        prof.samples = 20
+        shares = prof.package_rollup()
+        assert shares == {
+            "repro.core": 0.3,
+            "repro.net": 0.4,
+            "repro.rtos": 0.1,
+            "repro.sim": 0.15,
+            "other": 0.05,
+        }
+        assert list(shares)[-1] == "other"
         assert abs(sum(shares.values()) - 1.0) < 1e-9
+
+    def test_package_rollup_without_foreign_samples(self):
+        prof = self.make()
+        del prof.stacks[("json.encoder:encode",)]
+        prof.samples = 9
+        assert prof.package_rollup()["other"] == 0.0
 
     def test_render_hotspots_mentions_modules(self):
         text = self.make().render_hotspots()

@@ -121,3 +121,72 @@ class TestSnapshot:
         text = r.render("t")
         assert "frames{stream=s1}" in text
         assert "lat" in text and "count=1" in text
+
+
+def _forget_call_keys(r):
+    """Empty the recording caches, so the next call takes the miss path."""
+    r._counters.clear()
+    r._gauges.clear()
+    r._histograms.clear()
+
+
+class TestOneLookupSeries:
+    """Recording finds a known series by the call's own ``(name,
+    *labels.items())`` key and falls back to the kind-checked,
+    sorted-label path only on a miss."""
+
+    def test_label_order_lands_on_one_series(self):
+        r = MetricsRegistry()
+        r.count("x", a=1, b=2)
+        r.count("x", b=2, a=1)
+        r.count("x", a=1, b=2)
+        assert len(r) == 1
+        assert r.value("x", b=2, a=1) == 3.0
+        assert r.snapshot()["x"]["series"] == [
+            {"labels": {"a": 1, "b": 2}, "value": 3.0}
+        ]
+
+    def test_cached_counter_still_refuses_other_kinds(self):
+        r = MetricsRegistry()
+        r.count("x", card="rd0")
+        r.count("x", card="rd0")  # served by the one-lookup path now
+        with pytest.raises(TypeError):
+            r.gauge("x", 1.0, card="rd0")
+        with pytest.raises(TypeError):
+            r.gauge_add("x", 1.0, card="rd0")
+        with pytest.raises(TypeError):
+            r.observe("x", 1.0, card="rd0")
+        assert r.value("x", card="rd0") == 2.0
+        assert r.snapshot()["x"]["kind"] == "counter"
+
+    def test_negative_count_on_cached_series_raises(self):
+        r = MetricsRegistry()
+        r.count("frames", stream="s1")
+        r.count("frames", stream="s1")
+        with pytest.raises(ValueError):
+            r.count("frames", -1.0, stream="s1")
+        assert r.value("frames", stream="s1") == 2.0
+
+    def test_matches_a_registry_filled_through_the_miss_path(self):
+        ops = [
+            lambda r: r.count("frames", stream="s1", card="rd0"),
+            lambda r: r.count("frames", card="rd0", stream="s1"),
+            lambda r: r.count("frames", 2.0, stream="s2", card="rd0"),
+            lambda r: r.count("crashes"),
+            lambda r: r.gauge("depth", 4.0, card="rd0"),
+            lambda r: r.gauge_add("depth", -1.0, card="rd0"),
+            lambda r: r.gauge("depth", 7.0, card="rd1"),
+            lambda r: r.observe("lat", 12.0, hop="read", kind="host"),
+            lambda r: r.observe("lat", 250.0, kind="host", hop="read"),
+            lambda r: r.observe("lat", 5.0, hop="wire", kind="host"),
+        ]
+        fast, slow = MetricsRegistry(), MetricsRegistry()
+        for _ in range(3):
+            for op in ops:
+                op(fast)
+                _forget_call_keys(slow)
+                op(slow)
+        assert len(fast) == len(slow) == 7
+        assert fast.snapshot() == slow.snapshot()
+        assert json.dumps(fast.snapshot()) == json.dumps(slow.snapshot())
+        assert fast.render() == slow.render()

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import DWCSScheduler, StreamSpec
 from repro.media import FrameType, MediaFrame
-from repro.sim import Environment, Tracer
+from repro.obs import ObservabilityPlane
+from repro.sim import Environment, TraceEvent, Tracer
 
 
 @pytest.fixture
@@ -91,14 +92,29 @@ class TestTracer:
         assert d["seq"] == 7
 
     def test_reserved_name_key_namespaced(self):
-        from repro.sim.trace import TraceEvent
-
         # 'name' can't ride emit()'s kwargs (it collides with the
         # positional parameter) but can reach to_dict via fields directly
         e = TraceEvent(1.0, "c", "real", fields={"name": "fake"})
         d = e.to_dict()
         assert d["name"] == "real"
         assert d["f_name"] == "fake"
+
+
+class TestTraceEvent:
+    def test_fields_cannot_be_reassigned(self):
+        e = TraceEvent(1.0, "c", "e", {"a": 1})
+        for attr, value in (("time_us", 2.0), ("category", "d"),
+                            ("name", "f"), ("fields", {})):
+            with pytest.raises(AttributeError):
+                setattr(e, attr, value)
+        assert e == TraceEvent(1.0, "c", "e", {"a": 1})
+
+    def test_default_payload_is_empty_and_read_only(self):
+        e = TraceEvent(1.0, "c", "e")
+        assert e.fields == {}
+        assert e.to_dict() == {"t": 1.0, "cat": "c", "name": "e"}
+        with pytest.raises(TypeError):
+            e.fields["a"] = 1
 
 
 class TestAccounting:
@@ -177,6 +193,43 @@ class TestSpans:
         [e] = t.events()
         assert e.fields["ph"] == "i"
         assert e.fields["card"] == "rd0"
+
+    def test_span_payload_key_order(self, env):
+        t = Tracer(env)
+        sid = t.begin_span("span", "read", parent=7, stream="s1", seq=3)
+        t.end_span(sid, bytes=100)
+        begin, end = t.events()
+        assert list(begin.fields) == ["stream", "seq", "ph", "span", "parent"]
+        assert list(end.fields) == ["bytes", "ph", "span"]
+
+    def test_plane_span_payload_key_order(self, env):
+        # the JSONL export writes payload keys in insertion order (and the
+        # Perfetto args follow the same dicts), so the order is pinned:
+        # caller fields, then track, ph, span, parent
+        plane = ObservabilityPlane(env).install()
+        outer = plane.begin("frame", track="stream:s1")
+        sid = plane.begin("read", track="disk:sd0", parent=outer, stream="s1", seq=3)
+        plane.end(sid, bytes=100)
+        _, begin, end = plane.tracer.events()
+        assert list(begin.fields) == ["stream", "seq", "track", "ph", "span", "parent"]
+        assert list(end.fields) == ["bytes", "ph", "span"]
+        lines = plane.tracer.to_jsonl().splitlines()
+        assert lines[1] == (
+            '{"t": 0.0, "cat": "span", "name": "read", "stream": "s1", '
+            '"seq": 3, "track": "disk:sd0", "ph": "B", "span": 2, "parent": 1}'
+        )
+        assert lines[2] == (
+            '{"t": 0.0, "cat": "span", "name": "read", "bytes": 100, '
+            '"ph": "E", "span": 2}'
+        )
+
+    def test_caller_dict_is_not_the_payload(self, env):
+        t = Tracer(env)
+        fields = {"stream": "s1"}
+        t.end_span(t.begin_span("span", "read", **fields), **fields)
+        t.instant("event", "mark", **fields)
+        assert fields == {"stream": "s1"}
+        assert [e.fields["ph"] for e in t.events()] == ["B", "E", "i"]
 
 
 class TestDump:
