@@ -11,20 +11,15 @@ along with the numbers:
   compared byte-for-byte against ``golden_digests.json``. A drift in any
   experiment fails the bench — a fast kernel that changes a scheduling
   decision is a broken kernel.
-* **Provenance**: the pre-optimization baseline medians (measured on the
-  same machine, same protocol, at the commit before the kernel fast-path
-  work) are checked in at ``benchmarks/wallclock_baseline.json`` and
+* **Provenance**: the pre-optimization baseline medians (measured with
+  the same protocol at the commit before the kernel fast-path work) are
+  checked in at ``benchmarks/wallclock_baseline.json`` and
   copied into ``BENCH_sim.json`` next to the current medians, so the
   reported speedup is reproducible arithmetic, not a claim. A speedup is
-  only printed when the baseline's interpreter and machine match the
-  current run (:func:`baseline_comparability`) — otherwise the report
-  says *incomparable baseline* rather than publishing a bogus ×-figure.
-
-Both event-queue structures are benchmarked by default (``--queue
-both``): the binary-heap reference and the Brown calendar queue with
-same-tick cohort dispatch (:mod:`repro.sim.calendar`). Each variant runs
-under the same digest oracle; per-variant timings land in the report as
-``workloads`` / ``workloads_calendar``.
+  only printed when the baseline's interpreter, machine, CPU model and
+  core count all match the current run (:func:`baseline_comparability`)
+  — otherwise the report says *incomparable baseline* and names the
+  fields rather than publishing a bogus ×-figure.
 
 Usage::
 
@@ -68,9 +63,9 @@ from . import golden
 
 __all__ = [
     "WORKLOADS",
-    "QUEUES",
     "PARTITION_TARGET_SPEEDUP",
     "baseline_comparability",
+    "host_fingerprint",
     "critical_path_seconds",
     "run_partition_bench",
     "run_bench",
@@ -95,8 +90,9 @@ BASELINE_PATH = _REPO_ROOT / "benchmarks" / "wallclock_baseline.json"
 #: the timed workloads: name -> experiment id run at full duration
 WORKLOADS = ("figure9", "chaos", "failover", "observe", "transport")
 
-#: the event-queue structures the bench knows how to drive
-QUEUES = ("heap", "calendar")
+#: the host fields a baseline must share with the current run before
+#: their medians may be divided (see :func:`host_fingerprint`)
+HOST_FIELDS = ("python", "machine", "cpu_model", "nproc")
 
 #: the workload the >=1.5x acceptance target is pinned to
 HEADLINE = "figure9"
@@ -110,9 +106,7 @@ PARTITION_TARGET_SPEEDUP = 1.3
 #: leak into another's timings. Uses only the experiment REGISTRY +
 #: inspect, so the identical program also times historical checkouts
 #: (that is how the checked-in baseline was captured — see
-#: ``benchmarks/wallclock_baseline.json``). The queue structure is
-#: selected via ``REPRO_EVENT_QUEUE`` in the child's environment, which
-#: historical checkouts simply ignore.
+#: ``benchmarks/wallclock_baseline.json``).
 _CHILD_PROGRAM = r"""
 import json, statistics, sys, time
 t_import = time.perf_counter()
@@ -158,19 +152,16 @@ def time_workload_isolated(
     reps: int,
     quick: bool = False,
     src_dir: Optional[Path] = None,
-    queue: str = "heap",
 ) -> dict:
     """Time one workload in a fresh interpreter; returns the timing dict.
 
     ``src_dir`` points the child at an alternative source tree (used to
     re-capture the baseline from the pre-optimization commit with the
-    exact same measurement program). ``queue`` selects the event-queue
-    structure via ``REPRO_EVENT_QUEUE`` in the child's environment.
+    exact same measurement program).
     """
     duration = str(golden.SHORT_DURATION_US) if quick else "none"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src_dir if src_dir is not None else _REPO_ROOT / "src")
-    env["REPRO_EVENT_QUEUE"] = queue
     out = subprocess.run(
         [sys.executable, "-c", _CHILD_PROGRAM, name, str(BENCH_SEED), duration, str(reps)],
         check=True,
@@ -181,76 +172,90 @@ def time_workload_isolated(
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _verify_digests(quick: bool, jobs: int = 1, queue: str = "heap") -> dict[str, str]:
+def _verify_digests(quick: bool, jobs: int = 1) -> dict[str, str]:
     """Recompute the golden digests; returns name -> 'identical'|'drift'.
 
     ``jobs > 1`` fans the recomputation out over worker processes via the
     sweep runner (cache disabled — verification must recompute). The
     per-experiment digests are independent deterministic evaluations, so
-    the fan-out cannot change a verdict, only the wall clock. ``queue``
-    selects the event-queue structure for the recomputation (spawned
-    workers inherit it through the environment).
+    the fan-out cannot change a verdict, only the wall clock.
     """
     goldens = golden.load_goldens()
     section = "short" if quick else "full"
     duration = golden.SHORT_DURATION_US if quick else None
     wanted = goldens[section]["digests"]
-    prev = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = queue
-    try:
-        if jobs > 1:
-            from repro.parallel import Job, SweepRunner
+    if jobs > 1:
+        from repro.parallel import Job, SweepRunner
 
-            specs = [
-                Job(experiment=name, seed=BENCH_SEED, duration_us=duration)
-                for name in wanted
-            ]
-            report = SweepRunner(workers=jobs, cache=None).run(specs)
-            return {
-                o.job.experiment: (
-                    "identical"
-                    if o.ok and o.result_digest == wanted[o.job.experiment]
-                    else ("drift" if o.ok else f"error: {o.error}")
-                )
-                for o in report.outcomes
-            }
-        verdicts: dict[str, str] = {}
-        for name, want in wanted.items():
-            got = golden.compute_digest(
-                name, seed=BENCH_SEED, duration_us=duration, out_dir=None
+        specs = [
+            Job(experiment=name, seed=BENCH_SEED, duration_us=duration)
+            for name in wanted
+        ]
+        report = SweepRunner(workers=jobs, cache=None).run(specs)
+        return {
+            o.job.experiment: (
+                "identical"
+                if o.ok and o.result_digest == wanted[o.job.experiment]
+                else ("drift" if o.ok else f"error: {o.error}")
             )
-            verdicts[name] = "identical" if got == want else "drift"
-        return verdicts
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = prev
+            for o in report.outcomes
+        }
+    verdicts: dict[str, str] = {}
+    for name, want in wanted.items():
+        got = golden.compute_digest(
+            name, seed=BENCH_SEED, duration_us=duration, out_dir=None
+        )
+        verdicts[name] = "identical" if got == want else "drift"
+    return verdicts
+
+
+def host_fingerprint() -> dict:
+    """The host a bench run measures on: interpreter version, machine
+    architecture, CPU model (the first ``model name`` in
+    ``/proc/cpuinfo``) and usable cores — the sources perfbench's own
+    host fingerprint reads."""
+    cpu_model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_model": cpu_model,
+        "nproc": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+    }
 
 
 def baseline_comparability(
-    baseline: Optional[dict],
-    python: Optional[str] = None,
-    machine: Optional[str] = None,
+    baseline: Optional[dict], current: Optional[dict] = None
 ) -> tuple[bool, str]:
     """Decide whether the checked-in baseline supports a speedup claim.
 
     Wall-clock medians only divide meaningfully when baseline and current
-    run share interpreter version and machine architecture. Returns
-    ``(comparable, reason)`` where ``reason`` names every mismatched
-    field (empty string when comparable).
+    run (default: :func:`host_fingerprint`) agree on every
+    :data:`HOST_FIELDS` entry. A field the baseline does not record is
+    as disqualifying as a mismatched one. Returns ``(comparable,
+    reason)`` where ``reason`` names every such field (empty string when
+    comparable).
     """
     if baseline is None:
         return False, "no baseline"
-    python = python if python is not None else platform.python_version()
-    machine = machine if machine is not None else platform.machine()
+    current = current if current is not None else host_fingerprint()
     mismatches = []
-    base_python = baseline.get("python")
-    base_machine = baseline.get("machine")
-    if base_python != python:
-        mismatches.append(f"python {base_python!r} != {python!r}")
-    if base_machine != machine:
-        mismatches.append(f"machine {base_machine!r} != {machine!r}")
+    for key in HOST_FIELDS:
+        if key not in baseline:
+            mismatches.append(f"{key} not recorded in baseline")
+        elif baseline[key] != current.get(key):
+            mismatches.append(f"{key} {baseline[key]!r} != {current.get(key)!r}")
     if mismatches:
         return False, "; ".join(mismatches)
     return True, ""
@@ -469,22 +474,17 @@ def run_bench(
     quick: bool = False,
     out_path: Optional[Path] = None,
     jobs: int = 1,
-    queue: str = "both",
     profile: bool = False,
     flamegraph_path: Optional[Path] = None,
 ) -> dict:
     """Run the benchmark; writes the report and returns it as a dict.
 
-    Raises :class:`RuntimeError` if any golden digest drifts under any
-    benchmarked queue structure — wall-clock numbers for a behaviourally
-    different simulation are meaningless.
+    Raises :class:`RuntimeError` if any golden digest drifts — wall-clock
+    numbers for a behaviourally different simulation are meaningless.
 
     ``jobs`` parallelizes only the digest-verification pass. The timed
     runs stay strictly serial, one fresh interpreter at a time — sharing
     cores between concurrent timed workloads would corrupt the medians.
-
-    ``queue`` is ``"heap"``, ``"calendar"``, or ``"both"`` (default):
-    which event-queue structure(s) to time and digest-verify.
 
     ``profile`` (or ``REPRO_PROFILE=1``) arms the wall-clock self-profiler
     around the in-process digest-verification pass — the full workload
@@ -499,76 +499,56 @@ def run_bench(
     if profiler.enabled and jobs > 1:
         print("profiling: forcing --jobs 1 (worker processes are unsampled)")
         jobs = 1
-    queues = QUEUES if queue == "both" else (queue,)
-    for q in queues:
-        if q not in QUEUES:
-            raise ValueError(f"unknown queue {q!r}; expected one of {QUEUES} or 'both'")
 
-    current: dict[str, dict[str, dict]] = {q: {} for q in queues}
-    for q in queues:
-        for name in WORKLOADS:
-            print(
-                f"timing {name} [{q}] ({reps} reps{', quick' if quick else ''}, isolated)..."
-            )
-            current[q][name] = time_workload_isolated(name, reps, quick=quick, queue=q)
-            print(
-                f"  median {current[q][name]['median_s']:.3f} s"
-                f"  (peak RSS {current[q][name].get('peak_rss_kb', 0) / 1024:.0f} MB,"
-                f" cold import {current[q][name].get('import_s', 0.0):.2f} s)"
-            )
+    current: dict[str, dict] = {}
+    for name in WORKLOADS:
+        print(f"timing {name} ({reps} reps{', quick' if quick else ''}, isolated)...")
+        current[name] = time_workload_isolated(name, reps, quick=quick)
+        print(
+            f"  median {current[name]['median_s']:.3f} s"
+            f"  (peak RSS {current[name].get('peak_rss_kb', 0) / 1024:.0f} MB,"
+            f" cold import {current[name].get('import_s', 0.0):.2f} s)"
+        )
 
-    digests: dict[str, dict[str, str]] = {}
-    drifted: list[str] = []
     with profiler:
-        for q in queues:
-            print(
-                f"verifying golden digests [{q}] ({'short' if quick else 'full'} set"
-                f"{f', {jobs} workers' if jobs > 1 else ''})..."
-            )
-            digests[q] = _verify_digests(quick, jobs=jobs, queue=q)
-            drifted.extend(
-                f"{n} [{q}]" for n, v in sorted(digests[q].items()) if v != "identical"
-            )
-            for name, verdict in sorted(digests[q].items()):
-                print(f"  {name:10s} {verdict}")
+        print(
+            f"verifying golden digests ({'short' if quick else 'full'} set"
+            f"{f', {jobs} workers' if jobs > 1 else ''})..."
+        )
+        digests = _verify_digests(quick, jobs=jobs)
+        for name, verdict in sorted(digests.items()):
+            print(f"  {name:10s} {verdict}")
+    drifted = [n for n, v in sorted(digests.items()) if v != "identical"]
 
+    host = host_fingerprint()
     baseline = None
     comparable = False
     why_not = "quick mode (no baseline comparison)" if quick else "no baseline"
     if not quick and BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
-        comparable, reason = baseline_comparability(baseline)
+        comparable, reason = baseline_comparability(baseline, host)
         if not comparable:
             why_not = f"incomparable baseline: {reason}"
 
-    speedups: dict[str, Optional[dict[str, float]]] = {}
-    for q in queues:
-        if baseline is not None and comparable:
-            speedups[q] = {
-                name: baseline["workloads"][name]["median_s"]
-                / current[q][name]["median_s"]
-                for name in WORKLOADS
-                if name in baseline.get("workloads", {})
-            }
-        else:
-            speedups[q] = None
+    speedup: Optional[dict[str, float]] = None
+    if baseline is not None and comparable:
+        speedup = {
+            name: baseline["workloads"][name]["median_s"] / current[name]["median_s"]
+            for name in WORKLOADS
+            if name in baseline.get("workloads", {})
+        }
 
     report = {
         "seed": BENCH_SEED,
         "quick": quick,
         "protocol": "fresh interpreter per workload; 1 warm run + median of N reps",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "queues": list(queues),
-        "digests": digests.get("heap", digests.get("calendar", {})),
-        "digests_calendar": digests.get("calendar"),
-        "workloads": current.get("heap", current.get("calendar", {})),
-        "workloads_calendar": current.get("calendar"),
+        **host,
+        "digests": digests,
+        "workloads": current,
         "baseline": baseline,
         "baseline_comparable": comparable,
         "baseline_incomparable_reason": None if comparable else why_not,
-        "speedup": speedups.get("heap", speedups.get("calendar")),
-        "speedup_calendar": speedups.get("calendar"),
+        "speedup": speedup,
         "headline": HEADLINE,
     }
 
@@ -610,11 +590,8 @@ def run_bench(
 
     if baseline is not None and not comparable:
         print(f"  {why_not} — no speedup reported")
-    for q in queues:
-        if speedups[q] is not None:
-            for name in WORKLOADS:
-                if name in speedups[q]:
-                    print(f"  speedup {name:10s} [{q}] {speedups[q][name]:.2f}x")
+    for name, ratio in (speedup or {}).items():
+        print(f"  speedup {name:10s} {ratio:.2f}x")
 
     if drifted:
         raise RuntimeError(
@@ -647,12 +624,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         metavar="N",
         help="worker processes for the digest-verification pass "
         "(timed runs always stay serial)",
-    )
-    parser.add_argument(
-        "--queue",
-        choices=(*QUEUES, "both"),
-        default="both",
-        help="event-queue structure(s) to bench (default: both)",
     )
     parser.add_argument(
         "--profile",
@@ -704,7 +675,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             quick=args.quick,
             out_path=args.out,
             jobs=args.jobs,
-            queue=args.queue,
             profile=args.profile,
         )
     except RuntimeError as err:

@@ -134,29 +134,13 @@ class ObservabilityPlane:
         return self.tracer.events(category=CLUSTER_CATEGORY)
 
     def publish_queue_stats(self) -> None:
-        """Export the event queue's structural stats as gauges.
+        """Export the event queue's pending depth as a gauge.
 
-        Heap runs get the pending depth; calendar runs additionally get
-        bucket geometry, occupancy, day-width resizes, and the observed
-        push-horizon statistics (``CalendarEventQueue.stats()`` /
-        ``HorizonStats``) — the numbers queue-sizing decisions are made
-        from, now visible in every metrics snapshot."""
-        queue = self.env._queue
-        if isinstance(queue, list):
-            self.registry.gauge("sim.queue.pending", float(len(queue)), structure="heap")
-            return
-        stats = queue.stats()
-        structure = stats.get("structure", type(queue).__name__)
-        for key in ("pending", "day_width_us", "occupied_days", "mean_occupancy", "resizes"):
-            if key in stats:
-                self.registry.gauge(
-                    f"sim.queue.{key}", float(stats[key]), structure=structure
-                )
-        horizon = stats.get("horizon", {})
-        for key, val in sorted(horizon.items()):
-            self.registry.gauge(
-                f"sim.queue.horizon_{key}", float(val), structure=structure
-            )
+        ``sim.queue.pending`` carries a ``structure="heap"`` label because
+        the observe and cluster metrics artifacts record it."""
+        self.registry.gauge(
+            "sim.queue.pending", float(len(self.env._queue)), structure="heap"
+        )
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,6 @@ with microsecond time base. See :mod:`repro.sim.environment` for the time
 conventions used throughout the reproduction.
 """
 
-from .calendar import CalendarEventQueue, HorizonStats
 from .environment import MS, S, US, Environment
 from .errors import Interrupt, Preempted, SimulationError
 from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
@@ -39,8 +38,6 @@ __all__ = [
     "TallyStats",
     "RateEstimator",
     "RandomStreams",
-    "CalendarEventQueue",
-    "HorizonStats",
     "Tracer",
     "TraceEvent",
 ]

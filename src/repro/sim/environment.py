@@ -5,22 +5,10 @@ reports every primitive in µs (scheduling overhead ≈65 µs, PIO word read
 3.6 µs, Ethernet frame time ≈120 µs), so a µs base keeps every constant
 legible against the paper's tables.
 
-The event queue is keyed by ``(time, priority, sequence)``; the monotone
-sequence number makes same-time processing deterministic (FIFO in
-scheduling order), which the reproduction relies on for exact
-repeatability of every experiment. Two queue structures implement that
-total order:
-
-* the reference **binary heap** (a plain list + ``heapq``), and
-* a :class:`~repro.sim.calendar.CalendarEventQueue` — bucketed days sized
-  from observed event-horizon statistics, with heap order preserved
-  within a bucket, selected via ``Environment(queue="calendar")`` or the
-  ``REPRO_EVENT_QUEUE`` environment variable.
-
-Both produce bit-identical runs (the golden-digest oracle proves it); the
-calendar path additionally dispatches same-tick *cohorts* — the full set
-of events sharing the current timestamp is drained in one bucket-local
-operation and dispatched in sequence order.
+The event queue is a binary heap keyed by ``(time, priority, sequence)``;
+the monotone sequence number makes same-time processing deterministic
+(FIFO in scheduling order), which the reproduction relies on for exact
+repeatability of every experiment.
 
 Hot-path notes (the wall-clock benchmark harness pins these): ``now`` is a
 plain attribute (read-only by convention — only the kernel writes it), the
@@ -33,21 +21,15 @@ golden-digest tests prove it stays bit-identical.
 from __future__ import annotations
 
 import heapq
-import os
 from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .calendar import CalendarEventQueue
 from .errors import SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .rng import RandomStreams
 
 __all__ = ["Environment", "US", "MS", "S"]
-
-#: environment variable selecting the ambient event-queue structure for
-#: every Environment that is not given an explicit ``queue=`` argument
-QUEUE_ENV_VAR = "REPRO_EVENT_QUEUE"
 
 # Unit helpers: multiply readable durations into the µs time base.
 US = 1.0
@@ -75,58 +57,13 @@ class Environment:
         seeded ad hoc (or not at all). ``None`` leaves ``env.rng`` as
         ``None`` — existing call sites that pass their own RNG families
         are unaffected.
-    queue:
-        Event-queue structure: ``"heap"`` (the reference binary heap),
-        ``"calendar"`` (a :class:`~repro.sim.calendar.CalendarEventQueue`),
-        or a ready queue object exposing ``push``/``push_back``/``pop``/
-        ``pop_cohort``/``peek``/``__len__``. ``None`` (the default) reads
-        the ``REPRO_EVENT_QUEUE`` environment variable and falls back to
-        the heap, so whole experiment suites can be flipped to the
-        calendar kernel without touching construction sites.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        seed: Optional[int] = None,
-        queue: Any = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0, seed: Optional[int] = None) -> None:
         #: current simulated time in microseconds; written only by the
         #: kernel (``step``/``run``), read everywhere
         self.now = float(initial_time)
-        from_env = False
-        if queue is None:
-            queue = os.environ.get(QUEUE_ENV_VAR, "heap")
-            from_env = True
-        if queue == "heap":
-            self._queue: Any = []
-            #: the one scheduling entry point every trigger path calls; a
-            #: C-level partial for the heap keeps it as cheap as the
-            #: direct ``heappush`` it replaces
-            self._push = partial(heapq.heappush, self._queue)
-        else:
-            if queue == "calendar":
-                queue = CalendarEventQueue()
-            elif isinstance(queue, str):
-                # Catch the typo at construction, not as an obscure failure
-                # deep in the run loop — and say where the bad name came
-                # from when it rode in through the environment variable.
-                source = f" (from {QUEUE_ENV_VAR})" if from_env else ""
-                raise SimulationError(
-                    f"unknown event queue {queue!r}{source}; "
-                    "valid names: 'heap', 'calendar'"
-                )
-            elif not (hasattr(queue, "push") and hasattr(queue, "pop_cohort")):
-                raise SimulationError(
-                    f"queue must be 'heap', 'calendar', or a queue object, got {queue!r}"
-                )
-            self._queue = queue
-            self._push = queue.push
-        #: set when an above-NORMAL-priority event lands at the current
-        #: time while a same-tick cohort is mid-dispatch; tells the
-        #: calendar run loop to re-merge the remaining cohort so the
-        #: urgent event keeps its heap-identical position
-        self._urgent_dirty = False
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self.active_process: Optional[Process] = None
         #: ambient seeded RNG family (None unless a seed was given)
@@ -182,13 +119,7 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        if priority < NORMAL and self.now + delay == self.now:
-            # An urgent event landing at the *current* tick (e.g. a process
-            # interrupt, delay 0) may have to preempt a same-tick cohort
-            # already popped by the calendar run loop. Future-time urgent
-            # events sort normally and need no re-merge.
-            self._urgent_dirty = True
-        self._push((self.now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
 
     def schedule_callback(
         self, delay: float, callback: Callable[[], None], name: Optional[str] = None
@@ -245,10 +176,7 @@ class Environment:
     # -- run loop -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        queue = self._queue
-        if type(queue) is list:
-            return queue[0][0] if queue else float("inf")
-        return queue.peek()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -257,11 +185,7 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        queue = self._queue
-        if type(queue) is list:
-            when, _prio, _seq, event = heapq.heappop(queue)
-        else:
-            when, _prio, _seq, event = queue.pop()
+        when, _prio, _seq, event = heapq.heappop(self._queue)
         self.now = when
         event._state = 2  # PROCESSED (also marks deferred-trigger Timeouts)
         callbacks = event.callbacks
@@ -297,27 +221,23 @@ class Environment:
                     f"run(until={stop_at}) is in the past (now={self.now})"
                 )
 
+        # The hot loop: step() inlined (see its docstring), with the heap
+        # and heappop bound locally so each iteration is a handful of
+        # attribute-free operations for the common no-callback event.
         queue = self._queue
+        pop = heapq.heappop
         try:
-            if type(queue) is list:
-                # The reference hot loop: step() inlined (see its
-                # docstring), with the heap and heappop bound locally so
-                # each iteration is a handful of attribute-free operations
-                # for the common no-callback event.
-                pop = heapq.heappop
-                while queue and queue[0][0] <= stop_at:
-                    when, _prio, _seq, event = pop(queue)
-                    self.now = when
-                    event._state = 2  # PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-            else:
-                self._run_cohorts(queue, stop_at)
+            while queue and queue[0][0] <= stop_at:
+                when, _prio, _seq, event = pop(queue)
+                self.now = when
+                event._state = 2  # PROCESSED
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
+                if not event._ok and not event.defused:
+                    raise event._value
         except StopSimulation as stop:
             return self._unwrap(stop.value)
         if stop_event is not None:
@@ -327,59 +247,6 @@ class Environment:
         if stop_at != float("inf"):
             self.now = max(self.now, stop_at)
         return None
-
-    def _run_cohorts(self, queue: Any, stop_at: float) -> None:
-        """The calendar-kernel run loop: same-tick cohort dispatch.
-
-        Pops the full cohort at the earliest timestamp in one bucket-local
-        drain and dispatches it in ``(priority, seq)`` order. Two
-        invariants keep this bit-identical to the one-event-at-a-time
-        heap loop:
-
-        * events scheduled *during* cohort dispatch carry later sequence
-          numbers than every popped cohort member, so NORMAL-priority
-          arrivals at the same tick correctly wait for the next cohort;
-        * an URGENT arrival at the same tick (a process interrupt) must
-          preempt the not-yet-dispatched remainder — ``_schedule_event``
-          raises ``_urgent_dirty`` and the loop re-merges the remaining
-          cohort back into the queue so the urgent event sorts into its
-          heap-identical position.
-
-        On any exception (including ``StopSimulation`` from a
-        run-until-event callback) the undispatched remainder is re-filed,
-        matching the heap loop's leave-the-rest-queued semantics.
-        """
-        while queue:
-            when = queue.peek()
-            if when > stop_at:
-                return
-            cohort = queue.pop_cohort()
-            self.now = when
-            # Cohort boundary: the queue is fully merged here, so any flag
-            # left over (raised outside dispatch, or while dispatching a
-            # cohort's final member) is stale.
-            self._urgent_dirty = False
-            idx = 0
-            n = len(cohort)
-            try:
-                while idx < n:
-                    event = cohort[idx][3]
-                    idx += 1
-                    event._state = 2  # PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                    if self._urgent_dirty:
-                        self._urgent_dirty = False
-                        break  # re-merge: let the urgent event sort in
-            finally:
-                while idx < n:
-                    queue.push_back(cohort[idx])
-                    idx += 1
 
     @staticmethod
     def _unwrap(event: Event) -> Any:

@@ -12,6 +12,7 @@ this reproduction (deterministic ordering, microsecond time base).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from .errors import SimulationError
@@ -89,12 +90,10 @@ class Event:
         self._value = value
         self._state = TRIGGERED
         # inlined Environment._schedule_event(delay=0): triggering is the
-        # hottest scheduling site in every workload. ``env._push`` is the
-        # queue's bound insert (a C partial of heappush for the reference
-        # heap, the calendar queue's ``push`` otherwise).
+        # hottest scheduling site in every workload
         env = self.env
         seq = env._seq = env._seq + 1
-        env._push((env.now, _NORMAL, seq, self))
+        heappush(env._queue, (env.now, _NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -108,7 +107,7 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         seq = env._seq = env._seq + 1
-        env._push((env.now, _NORMAL, seq, self))
+        heappush(env._queue, (env.now, _NORMAL, seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -159,7 +158,7 @@ class Timeout(Event):
         # A timeout's outcome is fixed at creation but it only *triggers*
         # when the clock reaches it: waiters created meanwhile must block.
         seq = env._seq = env._seq + 1
-        env._push((env.now + delay, _NORMAL, seq, self))
+        heappush(env._queue, (env.now + delay, _NORMAL, seq, self))
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise SimulationError("Timeout events trigger themselves")

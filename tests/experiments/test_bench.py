@@ -8,45 +8,83 @@ speedup figure.
 
 import pytest
 
-from repro.experiments.bench import QUEUES, WORKLOADS, baseline_comparability
+from repro.experiments.bench import (
+    HOST_FIELDS,
+    WORKLOADS,
+    baseline_comparability,
+    host_fingerprint,
+)
+
+#: a fully recorded host: every field the comparability check reads
+HOST = {
+    "python": "3.11.7",
+    "machine": "x86_64",
+    "cpu_model": "Intel Xeon Processor",
+    "nproc": 2,
+}
 
 
 class TestBaselineComparability:
     def test_matching_environment_is_comparable(self):
-        base = {"python": "3.11.7", "machine": "x86_64"}
-        ok, reason = baseline_comparability(base, python="3.11.7", machine="x86_64")
+        ok, reason = baseline_comparability(HOST, HOST)
         assert ok
         assert reason == ""
 
     def test_python_mismatch_is_incomparable(self):
-        base = {"python": "3.11.7", "machine": "x86_64"}
-        ok, reason = baseline_comparability(base, python="3.12.1", machine="x86_64")
+        ok, reason = baseline_comparability(HOST, {**HOST, "python": "3.12.1"})
         assert not ok
         assert "python" in reason
         assert "3.11.7" in reason and "3.12.1" in reason
 
     def test_machine_mismatch_is_incomparable(self):
-        base = {"python": "3.11.7", "machine": "x86_64"}
-        ok, reason = baseline_comparability(base, python="3.11.7", machine="aarch64")
+        ok, reason = baseline_comparability(HOST, {**HOST, "machine": "aarch64"})
         assert not ok
         assert "machine" in reason
 
     def test_both_mismatched_names_both_fields(self):
-        base = {"python": "3.11.7", "machine": "x86_64"}
-        ok, reason = baseline_comparability(base, python="3.12.1", machine="aarch64")
+        current = {**HOST, "python": "3.12.1", "machine": "aarch64"}
+        ok, reason = baseline_comparability(HOST, current)
         assert not ok
         assert "python" in reason and "machine" in reason
+
+    def test_cpu_model_mismatch_is_incomparable(self):
+        current = {**HOST, "cpu_model": "AMD EPYC 7B13"}
+        ok, reason = baseline_comparability(HOST, current)
+        assert not ok
+        assert reason == "cpu_model 'Intel Xeon Processor' != 'AMD EPYC 7B13'"
+
+    def test_nproc_mismatch_is_incomparable(self):
+        ok, reason = baseline_comparability(HOST, {**HOST, "nproc": 8})
+        assert not ok
+        assert reason == "nproc 2 != 8"
+
+    @pytest.mark.parametrize("field", ["cpu_model", "nproc"])
+    def test_unrecorded_host_field_is_incomparable(self, field):
+        """A baseline that predates the field cannot vouch for the host."""
+        base = {k: v for k, v in HOST.items() if k != field}
+        ok, reason = baseline_comparability(base, HOST)
+        assert not ok
+        assert reason == f"{field} not recorded in baseline"
 
     def test_missing_baseline_fields_are_incomparable(self):
         """A baseline captured before provenance fields existed must not
         silently compare equal."""
-        ok, reason = baseline_comparability({}, python="3.11.7", machine="x86_64")
+        ok, reason = baseline_comparability({}, HOST)
         assert not ok
+        assert all(field in reason for field in HOST_FIELDS)
 
     def test_no_baseline(self):
         ok, reason = baseline_comparability(None)
         assert not ok
         assert reason == "no baseline"
+
+    def test_host_fingerprint_records_every_compared_field(self):
+        host = host_fingerprint()
+        assert set(HOST_FIELDS) <= set(host)
+        assert isinstance(host["nproc"], int) and host["nproc"] >= 1
+        assert host["cpu_model"]
+        ok, reason = baseline_comparability(host, host)
+        assert ok, reason
 
     def test_checked_in_baseline_has_provenance_fields(self):
         import json
@@ -58,9 +96,6 @@ class TestBaselineComparability:
 
 
 class TestBenchConstants:
-    def test_queue_variants(self):
-        assert QUEUES == ("heap", "calendar")
-
     def test_headline_is_a_workload(self):
         from repro.experiments.bench import HEADLINE
 

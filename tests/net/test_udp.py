@@ -217,17 +217,16 @@ class TestFaultHooks:
             plane.inject_datagram_duplication("x", 0.0, 1.0, rate=1.5)
 
 
-@pytest.mark.parametrize("kernel", ["heap", "calendar"])
 class TestFaultWindowEdges:
-    """Fault windows racing socket lifetime, on both event-queue kernels."""
+    """Fault windows racing socket lifetime."""
 
-    def test_drop_window_during_port_handoff(self, kernel):
+    def test_drop_window_during_port_handoff(self):
         """A drop window straddling a close+rebind: the datagram in flight
         during the handoff dies in the stack, not on the floor of an
         unbound port — and the rebound socket receives cleanly after."""
         from repro.faults import FaultPlane
 
-        env = Environment(queue=kernel)
+        env = Environment()
         _sw, a, b = topology(env)
         plane = FaultPlane(env, seed=11)
         got = []
@@ -261,12 +260,12 @@ class TestFaultWindowEdges:
         assert a.datagrams_dropped == 1  # "during" died inside the stack
         assert b.no_socket_drops == 0  # never reached the unbound port
 
-    def test_duplicate_arrives_after_socket_eviction(self, kernel):
+    def test_duplicate_arrives_after_socket_eviction(self):
         """A dup window sends two copies; the socket is evicted between
         the arrivals, so copy one delivers and copy two hits no socket."""
         from repro.faults import FaultPlane
 
-        env = Environment(queue=kernel)
+        env = Environment()
         _sw, a, b = topology(env)
         plane = FaultPlane(env, seed=11)
         got = []
@@ -293,12 +292,12 @@ class TestFaultWindowEdges:
         assert b.datagrams_received == 1
         assert b.no_socket_drops == 1  # the late duplicate found no socket
 
-    def test_drop_window_boundary_is_half_open(self, kernel):
+    def test_drop_window_boundary_is_half_open(self):
         """A send that pays its stack cost past end_us is not dropped: the
         window is evaluated at wire-handoff time, not at sendto() time."""
         from repro.faults import FaultPlane
 
-        env = Environment(queue=kernel)
+        env = Environment()
         _sw, a, b = topology(env)
         plane = FaultPlane(env, seed=11)
         inbox = b.bind(9)

@@ -8,7 +8,7 @@ window protocol. The observable logs must be identical — including the
 tie-heavy schedules, same-tick arrival/local races, and reactive
 cascades the real workloads may never produce. This is the adversarial
 counterpart to the golden-digest byte-identity proof, in the same
-spirit as the heap-vs-calendar kernel differential.
+spirit as the run/step differential in tests/sim.
 """
 
 from hypothesis import example, given, settings

@@ -1,4 +1,4 @@
-"""run(until=t) boundary semantics, pinned against BOTH queue kernels.
+"""run(until=t) boundary semantics.
 
 The contract every experiment's duration handling rests on:
 
@@ -7,42 +7,32 @@ The contract every experiment's duration handling rests on:
   earlier);
 * a repeated ``run(until=t)`` is a no-op;
 * ``peek()`` is ``inf`` on an empty queue.
-
-Parametrized over the heap and calendar kernels so a divergence in either
-run loop fails by name.
 """
 
 import pytest
 
-from repro.sim import CalendarEventQueue, Environment, SimulationError
-
-QUEUES = ("heap", "calendar")
-
-
-@pytest.fixture(params=QUEUES)
-def queue(request):
-    return request.param
+from repro.sim import Environment, SimulationError
 
 
 class TestUntilBoundary:
-    def test_event_at_exactly_until_is_processed(self, queue):
-        env = Environment(queue=queue)
+    def test_event_at_exactly_until_is_processed(self):
+        env = Environment()
         fired = []
         env.timeout(10.0).callbacks.append(lambda _e: fired.append(env.now))
         env.run(until=10.0)
         assert fired == [10.0]
         assert env.now == 10.0
 
-    def test_now_lands_on_until_past_the_last_event(self, queue):
-        env = Environment(queue=queue)
+    def test_now_lands_on_until_past_the_last_event(self):
+        env = Environment()
         fired = []
         env.timeout(3.0).callbacks.append(lambda _e: fired.append(env.now))
         env.run(until=50.0)
         assert fired == [3.0]
         assert env.now == 50.0
 
-    def test_event_just_after_until_stays_queued(self, queue):
-        env = Environment(queue=queue)
+    def test_event_just_after_until_stays_queued(self):
+        env = Environment()
         fired = []
         env.timeout(10.0 + 1e-9).callbacks.append(lambda _e: fired.append(env.now))
         env.run(until=10.0)
@@ -51,8 +41,8 @@ class TestUntilBoundary:
         env.run()
         assert len(fired) == 1
 
-    def test_repeated_run_until_same_t_is_noop(self, queue):
-        env = Environment(queue=queue)
+    def test_repeated_run_until_same_t_is_noop(self):
+        env = Environment()
         fired = []
         env.timeout(10.0).callbacks.append(lambda _e: fired.append(env.now))
         env.run(until=10.0)
@@ -60,23 +50,23 @@ class TestUntilBoundary:
         assert fired == [10.0]
         assert env.now == 10.0
 
-    def test_run_until_the_past_raises(self, queue):
-        env = Environment(queue=queue)
+    def test_run_until_the_past_raises(self):
+        env = Environment()
         env.timeout(10.0)
         env.run(until=10.0)
         with pytest.raises(SimulationError):
             env.run(until=5.0)
 
-    def test_peek_inf_on_empty(self, queue):
-        env = Environment(queue=queue)
+    def test_peek_inf_on_empty(self):
+        env = Environment()
         assert env.peek() == float("inf")
         env.timeout(4.0)
         assert env.peek() == 4.0
         env.run()
         assert env.peek() == float("inf")
 
-    def test_segmented_runs_cover_the_schedule_once(self, queue):
-        env = Environment(queue=queue)
+    def test_segmented_runs_cover_the_schedule_once(self):
+        env = Environment()
         fired = []
         for d in (2.0, 5.0, 5.0, 9.0):
             env.timeout(d).callbacks.append(lambda _e, d=d: fired.append((d, env.now)))
@@ -86,41 +76,3 @@ class TestUntilBoundary:
         assert fired[-1] == (9.0, 9.0)
         assert len(fired) == 4
 
-
-class TestQueueSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert type(Environment()._queue) is list
-
-    def test_env_var_selects_calendar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-        assert isinstance(Environment()._queue, CalendarEventQueue)
-
-    def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-        assert type(Environment(queue="heap")._queue) is list
-
-    def test_ready_queue_object_is_adopted(self):
-        q = CalendarEventQueue(day_width_us=50.0)
-        env = Environment(queue=q)
-        assert env._queue is q
-        fired = []
-        env.timeout(1.0).callbacks.append(lambda _e: fired.append(env.now))
-        env.run()
-        assert fired == [1.0]
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(SimulationError):
-            Environment(queue="splay-tree")
-
-    def test_unknown_queue_error_names_the_valid_set(self):
-        with pytest.raises(SimulationError, match="'heap', 'calendar'"):
-            Environment(queue="splay-tree")
-
-    def test_bad_env_var_blames_the_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "btree")
-        with pytest.raises(SimulationError) as err:
-            Environment()
-        message = str(err.value)
-        assert "REPRO_EVENT_QUEUE" in message
-        assert "'heap', 'calendar'" in message
