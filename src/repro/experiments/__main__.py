@@ -39,34 +39,6 @@ def _scenario_registry(experiment: str):
     return None
 
 
-def _partition_axis(experiment: str) -> str:
-    """Human description of an experiment's partition axis (for --list)."""
-    runner = REGISTRY[experiment]
-    if "partitions" not in inspect.signature(runner).parameters:
-        return "(not partition-capable)"
-    if experiment == "pdescluster":
-        from repro.pdes.cluster import SAN_LOOKAHEAD_US
-
-        return (
-            "event-level: front door + node partitions across the SAN seam "
-            f"(lookahead {SAN_LOOKAHEAD_US:.0f} us, windowed coordinator)"
-        )
-    from repro.pdes.plan import plans
-
-    plan = plans().get(experiment)
-    if plan is None:
-        return "single-unit (whole experiment in one worker)"
-    return plan.axis
-
-
-def _partition_capable() -> list[str]:
-    return [
-        name
-        for name, runner in REGISTRY.items()
-        if "partitions" in inspect.signature(runner).parameters
-    ]
-
-
 def _write_artifacts(result: ExperimentResult, directory: Path, name: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     parts = [result.render()]
@@ -124,9 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="partitioned execution across N worker processes; the result "
-        "is byte-identical to the serial run (see --list for each "
-        "experiment's partition axis)",
+        help="pdescluster: run its partitions on N worker processes; the "
+        "result is byte-identical to the serial run",
     )
     parser.add_argument(
         "--plots",
@@ -156,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name}:")
                     for scenario in registry.values():
                         print(f"  {scenario.name:14s} {scenario.description}")
-                print(f"  partitions: {_partition_axis(name)}")
         else:
             for name in REGISTRY:
                 print(name)
@@ -220,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             if "partitions" not in params:
                 parser.error(
                     f"experiment {name!r} does not take --partitions; "
-                    f"partition-capable: {', '.join(_partition_capable())}"
+                    "only pdescluster does"
                 )
             kwargs["partitions"] = args.partitions
         result = runner(**kwargs)

@@ -36,10 +36,10 @@ the workload set: the ``pdescluster`` cluster workload runs once on the
 serial reference executor and once across N spawn workers, the two
 result digests are compared byte-for-byte, and a ``partitions`` section
 is merged into ``BENCH_sim.json`` (the rest of an existing report is
-preserved). Because partitioned wall-clock only beats serial when the
-machine has cores to spare, the section records *both* the measured
-walls and a critical-path speedup derived from per-worker CPU seconds —
-see :func:`run_partition_bench` for the arithmetic and its basis.
+preserved). The section's verdict (``target_met``) is the *measured*
+speedup; a critical-path speedup derived from per-worker CPU seconds
+rides next to it, labelled as a model — see :func:`run_partition_bench`
+for the arithmetic and its basis.
 
 Machine caveat: wall-clock numbers are only comparable against a baseline
 measured on the same machine. The digest verification, by contrast, is
@@ -97,7 +97,7 @@ HOST_FIELDS = ("python", "machine", "cpu_model", "nproc")
 #: the workload the >=1.5x acceptance target is pinned to
 HEADLINE = "figure9"
 
-#: the critical-path speedup the partitioned cluster workload must clear
+#: the measured speedup the partitioned cluster workload must clear
 PARTITION_TARGET_SPEEDUP = 1.3
 
 
@@ -319,7 +319,9 @@ def run_partition_bench(
 
     The resulting ``partitions`` section is merged into the report at
     *out_path* (default ``BENCH_sim.json``) without disturbing the
-    workload-timing sections a previous full bench wrote.
+    workload-timing sections a previous full bench wrote. Its
+    ``target_met`` judges ``speedup_measured``; ``speedup_critical_path``
+    is a model (see :func:`critical_path_seconds`) and never the verdict.
 
     Raises :class:`RuntimeError` on any digest mismatch — a partitioned
     run that changes one byte is a broken coordinator, and its timings
@@ -398,7 +400,7 @@ def run_partition_bench(
         part_timing.get("wall_s", part_wall)
     )
     speedup_critical = serial_coord_wall / critical_s if critical_s > 0 else 0.0
-    cores = os.cpu_count() or 1
+    cores = host_fingerprint()["nproc"]
 
     section = {
         "workload": "pdescluster",
@@ -426,15 +428,15 @@ def run_partition_bench(
         "speedup_measured": speedup_measured,
         "speedup_critical_path": speedup_critical,
         "target_speedup": PARTITION_TARGET_SPEEDUP,
-        "target_met": speedup_critical >= PARTITION_TARGET_SPEEDUP,
+        "target_met": speedup_measured >= PARTITION_TARGET_SPEEDUP,
         "basis": (
-            "critical path = max per-worker bring-up CPU + max per-worker "
-            "window CPU + coordinator CPU: the wall-clock a "
-            "worker-per-partition run attains when cores >= workers "
-            "(independent bring-ups overlap; lockstep windows advance at "
-            f"the slowest worker's pace); this machine has {cores} "
-            "core(s), so the measured partitioned wall serializes the "
-            "workers and speedup_measured understates the protocol"
+            "target_met judges speedup_measured; speedup_critical_path is "
+            "a model: max per-worker bring-up CPU + max per-worker window "
+            "CPU + coordinator CPU, the wall-clock a worker-per-partition "
+            "run would attain with cores >= workers (independent bring-ups "
+            "overlap; lockstep windows advance at the slowest worker's "
+            f"pace); measured on {cores} core(s) with {partitions} "
+            "worker(s)"
         ),
     }
 
@@ -450,10 +452,11 @@ def run_partition_bench(
         f"{max(worker_cpu.values(), default=0.0):.2f} s, coordinator "
         f"{coord_s:.2f} s)"
     )
+    verdict = "met" if section["target_met"] else "NOT met"
     print(
-        f"  speedup: measured {speedup_measured:.2f}x, critical-path "
-        f"{speedup_critical:.2f}x (target {PARTITION_TARGET_SPEEDUP}x "
-        f"{'met' if section['target_met'] else 'NOT met'})"
+        f"  speedup: measured {speedup_measured:.2f}x (target "
+        f"{PARTITION_TARGET_SPEEDUP}x {verdict}); critical-path model "
+        f"{speedup_critical:.2f}x"
     )
 
     if not identical:

@@ -171,33 +171,13 @@ def chaos(
     seed: int = 42,
     scenarios: Optional[list[str]] = None,
     transport: str = "udp",
-    partitions: Optional[int] = None,
 ) -> ExperimentResult:
     """Run every named chaos scenario and tabulate the robustness scores.
 
     With a non-default ``transport`` each scenario also audits the
     zero-leak ledger (unaccounted records must be 0) and reports the
     transport's retransmission work; the default output stays
-    byte-identical to the historical raw-UDP run.
-
-    ``partitions`` fans the scenarios out across that many worker
-    processes (one partition cell per scenario) and reassembles a
-    byte-identical result — see :mod:`repro.pdes.plan`."""
-    if partitions is not None:
-        from repro.pdes.plan import run_plan
-
-        overrides: dict = {}
-        if scenarios is not None:
-            overrides["scenarios"] = scenarios
-        if transport != "udp":
-            overrides["transport"] = transport
-        return run_plan(
-            "chaos",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-            **overrides,
-        )
+    byte-identical to the historical raw-UDP run."""
     result = ExperimentResult(
         exp_id="Chaos",
         title=f"Fault injection against the NI configuration (seed {seed})",

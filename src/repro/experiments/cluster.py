@@ -251,36 +251,8 @@ def cluster(
     n_nodes: int = 3,
     policy: str = "least-loaded",
     out_dir: Optional[str] = DEFAULT_OUT_DIR,
-    include_control: bool = True,
-    partitions: Optional[int] = None,
 ) -> ExperimentResult:
-    """Run every cluster campaign and tabulate recovery + accounting.
-
-    ``include_control=False`` skips the control block and the static
-    policy-comparison table — used by the partition plan, whose
-    dedicated control cell already produces those rows. ``partitions``
-    fans the campaign out across that many worker processes and
-    reassembles a byte-identical result (cells run with artifacts off;
-    only footers differ) — see :mod:`repro.pdes.plan`."""
-    if partitions is not None:
-        from repro.pdes.plan import run_plan
-
-        overrides: dict = {}
-        if scenarios is not None:
-            overrides["scenarios"] = scenarios
-        if n_nodes != 3:
-            overrides["n_nodes"] = n_nodes
-        if policy != "least-loaded":
-            overrides["policy"] = policy
-        if not include_control:
-            overrides["include_control"] = include_control
-        return run_plan(
-            "cluster",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-            **overrides,
-        )
+    """Run every cluster campaign and tabulate recovery + accounting."""
     result = ExperimentResult(
         exp_id="Cluster",
         title=(
@@ -290,19 +262,16 @@ def cluster(
     )
 
     # -- control: the single-node Figure 9 path, untouched ------------------
-    if include_control:
-        control = run_loading_experiment(
-            "ni", "none", duration_us=duration_us, seed=seed
+    control = run_loading_experiment("ni", "none", duration_us=duration_us, seed=seed)
+    for sid in sorted(control.service.engine.scheduler.queues):
+        result.add_row(
+            f"control: {sid} settled bandwidth",
+            control.settled_bandwidth(sid),
+            unit="bps",
+            note="plain single-node Figure 9 run (per-node reference)",
         )
-        for sid in sorted(control.service.engine.scheduler.queues):
-            result.add_row(
-                f"control: {sid} settled bandwidth",
-                control.settled_bandwidth(sid),
-                unit="bps",
-                note="plain single-node Figure 9 run (per-node reference)",
-            )
 
-        _policy_comparison_rows(result, n_nodes)
+    _policy_comparison_rows(result, n_nodes)
 
     names = scenarios if scenarios is not None else list(CLUSTER_SCENARIOS)
     runs: list[ClusterRun] = []

@@ -154,50 +154,24 @@ def failover(
     seed: int = 42,
     scenarios: Optional[list[str]] = None,
     transport: str = "udp",
-    include_control: bool = True,
-    partitions: Optional[int] = None,
 ) -> ExperimentResult:
-    """Run every failover campaign and tabulate recovery metrics.
-
-    ``include_control=False`` skips the no-fault Figure 9 control block —
-    used by the partition plan, whose dedicated control cell already
-    produces those rows. ``partitions`` fans the campaign out across
-    that many worker processes and reassembles a byte-identical result —
-    see :mod:`repro.pdes.plan`."""
-    if partitions is not None:
-        from repro.pdes.plan import run_plan
-
-        overrides: dict = {}
-        if scenarios is not None:
-            overrides["scenarios"] = scenarios
-        if transport != "udp":
-            overrides["transport"] = transport
-        if not include_control:
-            overrides["include_control"] = include_control
-        return run_plan(
-            "failover",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-            **overrides,
-        )
+    """Run every failover campaign and tabulate recovery metrics."""
     result = ExperimentResult(
         exp_id="Failover",
         title=f"NI failover: detection, migration, recovery (seed {seed})",
     )
 
     # -- control: the single-card Figure 9 path, untouched ------------------
-    if include_control:
-        control = run_loading_experiment(
-            "ni", "none", duration_us=duration_us, seed=seed, transport=transport
+    control = run_loading_experiment(
+        "ni", "none", duration_us=duration_us, seed=seed, transport=transport
+    )
+    for sid in sorted(control.service.engine.scheduler.queues):
+        result.add_row(
+            f"control: {sid} settled bandwidth",
+            control.settled_bandwidth(sid),
+            unit="bps",
+            note="plain Figure 9 run (no HA plane, no faults)",
         )
-        for sid in sorted(control.service.engine.scheduler.queues):
-            result.add_row(
-                f"control: {sid} settled bandwidth",
-                control.settled_bandwidth(sid),
-                unit="bps",
-                note="plain Figure 9 run (no HA plane, no faults)",
-            )
 
     names = scenarios if scenarios is not None else list(FAILOVER_SCENARIOS)
     slo_reports = []

@@ -45,42 +45,16 @@ __all__ = [
     "LoadedRun",
     "STREAM_SERVICE_TIME_US",
     "FIGURE_LEVELS",
-    "FIGURE9_LEVELS",
-    "FIGURE10_LEVELS",
     "run_loading_experiment",
     "figure6",
     "figure7",
     "figure8",
     "figure9",
-    "figure9_cell",
-    "assemble_figure9",
     "figure10",
-    "figure10_cell",
-    "assemble_figure10",
 ]
 
 #: load levels of the host-scheduler figures (6-8), in figure order
 FIGURE_LEVELS = ("none", "45%", "60%")
-
-#: load levels of the NI snapshot figures, in cell order
-FIGURE9_LEVELS = ("none", "60%")
-FIGURE10_LEVELS = ("60%", "none")
-
-
-def _fan_out(name: str, seed: int, duration_us: float, partitions: int, levels):
-    """Route a figure's ``partitions=N`` call to its partition plan."""
-    from repro.pdes.plan import run_plan
-
-    overrides: dict = {}
-    if levels is not None:
-        overrides["levels"] = levels
-    return run_plan(
-        name,
-        seed=seed,
-        duration_us=duration_us,
-        partitions=partitions,
-        **overrides,
-    )
 
 
 #: per-packet service time charged against the admission ledger for the
@@ -230,24 +204,13 @@ def run_loading_experiment(
     )
 
 
-def figure6(
-    duration_us: float = SIM_DURATION_US,
-    seed: int = 0,
-    levels: Optional[list[str]] = None,
-    partitions: Optional[int] = None,
-) -> ExperimentResult:
-    """CPU utilization variation with server load (host-based runs).
-
-    ``levels`` restricts the run to a subset of :data:`FIGURE_LEVELS`
-    (the partition plan's cell axis); ``partitions`` fans the levels out
-    across worker processes — see :mod:`repro.pdes.plan`."""
-    if partitions is not None:
-        return _fan_out("figure6", seed, duration_us, partitions, levels)
+def figure6(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:
+    """CPU utilization variation with server load (host-based runs)."""
     result = ExperimentResult(
         exp_id="Figure 6", title="CPU Utilization Variation with Server Load"
     )
     paper_avg = {"none": 15.0, "45%": 45.0, "60%": 60.0}
-    for level in levels if levels is not None else FIGURE_LEVELS:
+    for level in FIGURE_LEVELS:
         run = run_loading_experiment("host", level, duration_us=duration_us, seed=seed)
         result.series.append(
             Series(
@@ -272,20 +235,13 @@ def figure6(
     return result
 
 
-def figure7(
-    duration_us: float = SIM_DURATION_US,
-    seed: int = 0,
-    levels: Optional[list[str]] = None,
-    partitions: Optional[int] = None,
-) -> ExperimentResult:
+def figure7(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:
     """Host-scheduler bandwidth variation with load (streams s1, s2)."""
-    if partitions is not None:
-        return _fan_out("figure7", seed, duration_us, partitions, levels)
     result = ExperimentResult(
         exp_id="Figure 7", title="Bandwidth Distribution with Load Variation (host DWCS)"
     )
     paper_settled = {"none": 250_000.0, "45%": 230_000.0, "60%": 125_000.0}
-    for level in levels if levels is not None else FIGURE_LEVELS:
+    for level in FIGURE_LEVELS:
         run = run_loading_experiment("host", level, duration_us=duration_us, seed=seed)
         for sid in ("s1", "s2"):
             result.series.append(run.bandwidth_series(sid))
@@ -302,20 +258,13 @@ def figure7(
     return result
 
 
-def figure8(
-    duration_us: float = SIM_DURATION_US,
-    seed: int = 0,
-    levels: Optional[list[str]] = None,
-    partitions: Optional[int] = None,
-) -> ExperimentResult:
+def figure8(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:
     """Host-scheduler queuing delay vs frames sent, per load level."""
-    if partitions is not None:
-        return _fan_out("figure8", seed, duration_us, partitions, levels)
     result = ExperimentResult(
         exp_id="Figure 8", title="Queuing Delay vs Frames Sent with Load Variation (host DWCS)"
     )
     paper_max = {"none": 10_000.0, "45%": 12_000.0, "60%": 30_000.0}
-    for level in levels if levels is not None else FIGURE_LEVELS:
+    for level in FIGURE_LEVELS:
         run = run_loading_experiment("host", level, duration_us=duration_us, seed=seed)
         for sid in ("s1", "s2"):
             result.series.append(run.delay_series(sid))
@@ -330,32 +279,18 @@ def figure8(
     return result
 
 
-def figure9_cell(
-    duration_us: float = SIM_DURATION_US, seed: int = 0, level: str = "none"
-) -> ExperimentResult:
-    """One NI loading run of Figure 9: its bandwidth series + settled s1.
-
-    The fragment's row label is internal — :func:`assemble_figure9`
-    rebuilds the published rows; only the measured values ride through
-    (exactly: the result serialization round-trips floats by repr)."""
-    run = run_loading_experiment("ni", level, duration_us=duration_us, seed=seed)
-    frag = ExperimentResult(exp_id="Figure 9", title=f"cell: ni load {level}")
-    for sid in ("s1", "s2"):
-        frag.series.append(run.bandwidth_series(sid))
-    frag.add_row(f"settled s1 ({level})", run.settled_bandwidth("s1"), "bps")
-    return frag
-
-
-def assemble_figure9(fragments) -> ExperimentResult:
-    """Reassemble Figure 9 from its per-level cells (FIGURE9_LEVELS order)."""
-    cells = dict(zip(FIGURE9_LEVELS, fragments))
+def figure9(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:
+    """NI-scheduler bandwidth snapshot: unaffected by system load."""
     result = ExperimentResult(
         exp_id="Figure 9", title="NI Bandwidth Distribution: Unaffected by System Load"
     )
-    for level in FIGURE9_LEVELS:
-        result.series.extend(cells[level].series)
-    loaded = cells["60%"].rows[0].measured
-    unloaded = cells["none"].rows[0].measured
+    settled = {}
+    for level in ("none", "60%"):
+        run = run_loading_experiment("ni", level, duration_us=duration_us, seed=seed)
+        for sid in ("s1", "s2"):
+            result.series.append(run.bandwidth_series(sid))
+        settled[level] = run.settled_bandwidth("s1")
+    loaded, unloaded = settled["60%"], settled["none"]
     result.add_row("settling bandwidth s1 (60% load)", loaded, "bps", paper=260_000.0)
     result.add_row("settling bandwidth s1 (no load)", unloaded, "bps")
     result.add_row(
@@ -365,76 +300,26 @@ def assemble_figure9(fragments) -> ExperimentResult:
     return result
 
 
-def figure9(
-    duration_us: float = SIM_DURATION_US,
-    seed: int = 0,
-    partitions: Optional[int] = None,
-) -> ExperimentResult:
-    """NI-scheduler bandwidth snapshot: unaffected by system load.
-
-    Serial and partitioned runs share the same cells and assembly, so
-    ``--partitions`` is byte-identical by construction (and pinned by
-    the golden digest)."""
-    if partitions is not None:
-        return _fan_out("figure9", seed, duration_us, partitions, None)
-    return assemble_figure9(
-        [
-            figure9_cell(duration_us=duration_us, seed=seed, level=level)
-            for level in FIGURE9_LEVELS
-        ]
-    )
-
-
-def figure10_cell(
-    duration_us: float = SIM_DURATION_US, seed: int = 0, level: str = "60%"
-) -> ExperimentResult:
-    """One NI loading run of Figure 10: its delay series + max delay s1."""
-    run = run_loading_experiment("ni", level, duration_us=duration_us, seed=seed)
-    frag = ExperimentResult(exp_id="Figure 10", title=f"cell: ni load {level}")
-    for sid in ("s1", "s2"):
-        frag.series.append(run.delay_series(sid))
-    stats = run.service.engine.delay_stats.get("s1")
-    frag.add_row(
-        f"max delay s1 ({level})", (stats.max / 1000.0) if stats else 0.0, "ms"
-    )
-    return frag
-
-
-def assemble_figure10(fragments) -> ExperimentResult:
-    """Reassemble Figure 10 from its cells (FIGURE10_LEVELS order)."""
-    cells = dict(zip(FIGURE10_LEVELS, fragments))
+def figure10(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:
+    """NI-scheduler queuing delay snapshot under 60% host load."""
     result = ExperimentResult(
         exp_id="Figure 10", title="NI Queuing Delay: Unaffected by System Load"
     )
-    # only the loaded run's delay trace is published; the baseline cell
-    # contributes its max-delay row alone, as the paper's figure does
-    result.series.extend(cells["60%"].series)
+    max_delay_ms = {}
+    for level in ("60%", "none"):
+        run = run_loading_experiment("ni", level, duration_us=duration_us, seed=seed)
+        # only the loaded run's delay trace is published; the baseline run
+        # contributes its max-delay row alone, as the paper's figure does
+        if level == "60%":
+            for sid in ("s1", "s2"):
+                result.series.append(run.delay_series(sid))
+        stats = run.service.engine.delay_stats.get("s1")
+        max_delay_ms[level] = (stats.max / 1000.0) if stats else 0.0
     result.add_row(
-        "max queuing delay s1 (60% load)",
-        cells["60%"].rows[0].measured,
-        "ms",
-        paper=11_000.0,
+        "max queuing delay s1 (60% load)", max_delay_ms["60%"], "ms", paper=11_000.0
     )
-    result.add_row(
-        "max queuing delay s1 (no load)", cells["none"].rows[0].measured, "ms"
-    )
+    result.add_row("max queuing delay s1 (no load)", max_delay_ms["none"], "ms")
     result.notes.append(
         "NI delays track the backlog ramp only — host load leaves no imprint"
     )
     return result
-
-
-def figure10(
-    duration_us: float = SIM_DURATION_US,
-    seed: int = 0,
-    partitions: Optional[int] = None,
-) -> ExperimentResult:
-    """NI-scheduler queuing delay snapshot under 60% host load."""
-    if partitions is not None:
-        return _fan_out("figure10", seed, duration_us, partitions, None)
-    return assemble_figure10(
-        [
-            figure10_cell(duration_us=duration_us, seed=seed, level=level)
-            for level in FIGURE10_LEVELS
-        ]
-    )

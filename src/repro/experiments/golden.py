@@ -243,20 +243,12 @@ def refresh(
 def verify(
     which: str = "short",
     seed: int = 42,
-    partitions: Optional[int] = None,
     verbose: bool = True,
 ) -> list[str]:
     """Recompute one digest set and compare against the pinned file.
 
-    Returns the ids whose digests do not match (empty list == verified).
-    ``partitions`` routes every experiment through partitioned execution
-    (:mod:`repro.pdes`): the campaign experiments fan their cells across
-    that many worker processes, ``pdescluster`` runs its event-level
-    window protocol on that many workers — and every digest must still
-    equal the serially-pinned one. That is the tentpole's byte-identity
-    proof::
-
-        PYTHONPATH=src python -m repro.experiments.golden --verify short --partitions 2
+    Returns the ids whose digests do not match (empty list == verified);
+    an id with no pinned digest counts as a mismatch.
     """
     goldens = load_goldens()
     if which == "short":
@@ -268,12 +260,7 @@ def verify(
     pinned = goldens.get(which, {}).get("digests", {})
     mismatches = []
     for name in ids:
-        overrides: dict = {"out_dir": None}
-        if partitions is not None:
-            overrides["partitions"] = partitions
-        digest = compute_digest(
-            name, seed=seed, duration_us=duration, **overrides
-        )
+        digest = compute_digest(name, seed=seed, duration_us=duration, out_dir=None)
         ok = digest == pinned.get(name)
         if not ok:
             mismatches.append(name)
@@ -302,24 +289,11 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
         "--jobs", type=int, default=1, metavar="N",
         help="refresh: worker processes for the recomputation fan-out",
     )
-    parser.add_argument(
-        "--partitions", type=int, default=None, metavar="N",
-        help="verify: run every experiment partitioned across N workers; "
-        "the digests must still match the serially-pinned set",
-    )
     args = parser.parse_args()
-    if args.partitions is not None and args.partitions < 1:
-        parser.error(
-            f"--partitions must be a positive worker count, got "
-            f"{args.partitions}; valid values are 1..N (or omit the flag "
-            "for the serial path)"
-        )
     if args.refresh:
-        if args.partitions is not None:
-            parser.error("--partitions applies to --verify, not --refresh")
         refresh(args.refresh, seed=args.seed, jobs=args.jobs)
     else:
-        bad = verify(args.verify, seed=args.seed, partitions=args.partitions)
+        bad = verify(args.verify, seed=args.seed)
         if bad:
             print(f"MISMATCHED: {', '.join(bad)}", file=sys.stderr)
             sys.exit(1)

@@ -12,8 +12,6 @@ without), from the drain-the-rings microbenchmark, cache enabled.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.engine import MicrobenchEngine
 from repro.fixedpoint import FixedPointContext
 from repro.hw.cache import DataCache
@@ -46,14 +44,9 @@ def scheduling_overhead(cpu_spec: CPUSpec, costs=None, cache_enabled: bool = Tru
     return results[0].avg_frame_us - results[1].avg_frame_us
 
 
-def headline(partitions: Optional[int] = None) -> ExperimentResult:
+def headline() -> ExperimentResult:
     """NI (66 MHz i960, embedded build) vs host (300 MHz UltraSPARC,
     SysV-shared-memory build) scheduling overhead."""
-    if partitions is not None:
-        # single-unit partition plan: one worker, canonical round-trip
-        from repro.pdes.plan import run_plan
-
-        return run_plan("headline", partitions=partitions)
     result = ExperimentResult(
         exp_id="Headline", title="Scheduling Overhead: NI CoProcessor vs Host CPU"
     )

@@ -86,23 +86,8 @@ def observe(
     seed: int = 42,
     out_dir: Optional[str] = DEFAULT_OUT_DIR,
     kinds: Sequence[str] = ("host", "ni"),
-    partitions: Optional[int] = None,
 ) -> ExperimentResult:
     """Run the instrumented host and NI configurations and tabulate them."""
-    if partitions is not None:
-        # single-unit partition plan: one worker, canonical round-trip
-        from repro.pdes.plan import run_plan
-
-        overrides: dict = {}
-        if tuple(kinds) != ("host", "ni"):
-            overrides["kinds"] = list(kinds)
-        return run_plan(
-            "observe",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-            **overrides,
-        )
     result = ExperimentResult(
         exp_id="Observe",
         title=f"Instrumented Figure 9 replay: frame-latency breakdown (seed {seed})",

@@ -19,7 +19,7 @@ result, the mechanism story in DESIGN.md would be wrong.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.costs import DWCSCostModel
 from repro.core.engine import MicrobenchEngine
@@ -55,17 +55,8 @@ def _avg_frame_us(
     return env.run(until=env.process(engine.run_with_scheduler())).avg_frame_us
 
 
-def cost_sensitivity(
-    scale: float = 1.5, seed: int = 0, partitions: Optional[int] = None
-) -> ExperimentResult:
+def cost_sensitivity(scale: float = 1.5, seed: int = 0) -> ExperimentResult:
     """Scale each fitted constant by *scale* and report the cell movement."""
-    if partitions is not None:
-        # single-unit partition plan: one worker, canonical round-trip
-        from repro.pdes.plan import run_plan
-
-        return run_plan(
-            "sens_costs", seed=seed, partitions=partitions, scale=scale
-        )
     result = ExperimentResult(
         exp_id="Sensitivity: cost constants",
         title=f"Table-cell response to x{scale} on each fitted constant",
@@ -128,20 +119,8 @@ def cost_sensitivity(
     return result
 
 
-def mechanism_knockouts(
-    duration_us: float = 60 * S, seed: int = 0, partitions: Optional[int] = None
-) -> ExperimentResult:
+def mechanism_knockouts(duration_us: float = 60 * S, seed: int = 0) -> ExperimentResult:
     """Figure-7 degradation with its mechanisms disabled one at a time."""
-    if partitions is not None:
-        # single-unit partition plan: one worker, canonical round-trip
-        from repro.pdes.plan import run_plan
-
-        return run_plan(
-            "sens_knockouts",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-        )
     # imported here: the loading machinery pulls in the whole server stack
     from repro.hw.ethernet import EthernetSwitch
     from repro.metrics import Perfmeter

@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_SWEEP_EXPERIMENTS",
     "DEFAULT_SEEDS",
     "DEFAULT_SCALES",
-    "parse_partition_axis",
     "replicate_jobs",
     "sensitivity_jobs",
     "scenario_jobs",
@@ -79,53 +78,17 @@ DEFAULT_OUT_DIR = os.path.join("out", "sweep")
 # -- job matrices ------------------------------------------------------------
 
 
-def parse_partition_axis(values: Sequence[str]) -> list[Optional[int]]:
-    """Validate ``--partitions`` axis tokens: 'serial' or positive ints.
-
-    Raises :class:`ValueError` naming the offending token and the valid
-    set, so the CLI can surface it verbatim (PR-7 convention)."""
-    axis: list[Optional[int]] = []
-    for token in values:
-        if token == "serial":
-            axis.append(None)
-            continue
-        try:
-            count = int(token)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(
-                f"unknown partition-axis value {token!r}: valid values are "
-                "'serial' or a positive worker count (e.g. serial,2)"
-            )
-        axis.append(count)
-    return axis
-
-
 def replicate_jobs(
     experiments: Sequence[str],
     seeds: int,
     seed_base: int = 42,
     duration_us: Optional[float] = None,
-    partition_axis: Optional[Sequence[Optional[int]]] = None,
 ) -> list[Job]:
-    """experiments × seeds (× partition axis), seed-major per experiment.
-
-    ``partition_axis`` entries are ``None`` (serial) or a worker count;
-    each value adds a matrix column running the same cell through
-    :mod:`repro.pdes` partitioned execution — the per-job digests in the
-    provenance notes prove identity across the axis."""
-    axis = list(partition_axis) if partition_axis else [None]
+    """experiments × seeds, seed-major per experiment."""
     return [
-        Job(
-            experiment=exp,
-            seed=seed_base + k,
-            duration_us=duration_us,
-            config={} if p is None else {"partitions": p},
-        )
+        Job(experiment=exp, seed=seed_base + k, duration_us=duration_us)
         for exp in experiments
         for k in range(seeds)
-        for p in axis
     ]
 
 
@@ -461,14 +424,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "(default: udp,tcp,ttp)",
     )
     parser.add_argument(
-        "--partitions",
-        default=None,
-        metavar="P,Q,...",
-        help="replicate mode: partition axis — 'serial' or positive worker "
-        "counts (e.g. serial,2); each value adds a matrix column running "
-        "the cell through partitioned execution, byte-identical by digest",
-    )
-    parser.add_argument(
         "--duration", type=float, default=None, metavar="US",
         help="override simulated duration in µs (default: full runs)",
     )
@@ -498,31 +453,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="no progress lines")
     args = parser.parse_args(argv)
 
-    if args.partitions is not None and args.mode != "replicate":
-        parser.error(
-            f"--partitions applies to the replicate mode, not {args.mode!r}"
-        )
     if args.mode == "replicate":
         experiments = _csv(args.experiments)
-        partition_axis = None
-        if args.partitions is not None:
-            try:
-                partition_axis = parse_partition_axis(_csv(args.partitions))
-            except ValueError as exc:
-                parser.error(str(exc))
-        jobs = replicate_jobs(
-            experiments,
-            args.seeds,
-            args.seed_base,
-            args.duration,
-            partition_axis=partition_axis,
-        )
+        jobs = replicate_jobs(experiments, args.seeds, args.seed_base, args.duration)
         title = (
             f"{'x'.join(experiments)} x {args.seeds} seeds "
             f"(base {args.seed_base})"
         )
-        if partition_axis is not None:
-            title += f" x partitions ({args.partitions})"
     elif args.mode == "sensitivity":
         jobs = sensitivity_jobs(
             [float(s) for s in _csv(args.scales)],
@@ -584,7 +521,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "seed_base": args.seed_base,
             "duration_us": args.duration,
             "no_cache": args.no_cache,
-            "partitions": args.partitions,
         }
         written = write_sweep_artifacts(args.out, merged, report, args_echo)
         print(f"wrote {', '.join(written)}")

@@ -73,20 +73,8 @@ def _microbench_table(
     return result
 
 
-
-def _fan_out(name: str, partitions: int, **overrides):
-    """Route ``partitions=N`` to the single-unit partition plan: the whole
-    table computed in one worker process and round-tripped through the
-    canonical result serialization (see :mod:`repro.pdes.plan`)."""
-    from repro.pdes.plan import run_plan
-
-    return run_plan(name, partitions=partitions, **overrides)
-
-
-def table1(partitions: Optional[int] = None) -> ExperimentResult:
+def table1() -> ExperimentResult:
     """Scheduler microbenchmarks, data cache **disabled**."""
-    if partitions is not None:
-        return _fan_out("table1", partitions)
     return _microbench_table(
         "Table 1",
         "Scheduler Microbenchmarks (Data Cache Disabled)",
@@ -98,10 +86,8 @@ def table1(partitions: Optional[int] = None) -> ExperimentResult:
     )
 
 
-def table2(partitions: Optional[int] = None) -> ExperimentResult:
+def table2() -> ExperimentResult:
     """Scheduler microbenchmarks, data cache **enabled**."""
-    if partitions is not None:
-        return _fan_out("table2", partitions)
     result = _microbench_table(
         "Table 2",
         "Scheduler Microbenchmarks (Data Cache Enabled)",
@@ -117,11 +103,9 @@ def table2(partitions: Optional[int] = None) -> ExperimentResult:
     return result
 
 
-def table3(partitions: Optional[int] = None) -> ExperimentResult:
+def table3() -> ExperimentResult:
     """'Hardware queue' build: descriptors in MMIO registers, fixed point,
     data cache enabled."""
-    if partitions is not None:
-        return _fan_out("table3", partitions)
     tw, aw, two, awo = _microbench(
         FixedPointContext,
         cache_enabled=True,
@@ -143,13 +127,8 @@ def table3(partitions: Optional[int] = None) -> ExperimentResult:
     return result
 
 
-def table4(
-    transfers: int = 1000, partitions: Optional[int] = None
-) -> ExperimentResult:
+def table4(transfers: int = 1000) -> ExperimentResult:
     """Critical-path benchmarks: 1000-byte frame, disk → remote client."""
-    if partitions is not None:
-        overrides = {} if transfers == 1000 else {"transfers": transfers}
-        return _fan_out("table4", partitions, **overrides)
     frame = 1000
     result = ExperimentResult(
         exp_id="Table 4", title="Critical Path Benchmarks (1000-byte frame)"
@@ -233,10 +212,8 @@ def table4(
     return result
 
 
-def table5(partitions: Optional[int] = None) -> ExperimentResult:
+def table5() -> ExperimentResult:
     """PCI card-to-card transfer primitives."""
-    if partitions is not None:
-        return _fan_out("table5", partitions)
     result = ExperimentResult(exp_id="Table 5", title="PCI Card-to-Card Transfer Benchmarks")
     env = Environment()
     seg = PCISegment(env)

@@ -44,26 +44,8 @@ def transport(
     duration_us: float = SIM_DURATION_US,
     seed: int = 42,
     transports: Optional[list[str]] = None,
-    partitions: Optional[int] = None,
 ) -> ExperimentResult:
-    """Offload-vs-host comparison across the media transports.
-
-    ``partitions`` fans the transports out across that many worker
-    processes (one partition cell per transport) and reassembles a
-    byte-identical result — see :mod:`repro.pdes.plan`."""
-    if partitions is not None:
-        from repro.pdes.plan import run_plan
-
-        overrides: dict = {}
-        if transports is not None:
-            overrides["transports"] = transports
-        return run_plan(
-            "transport",
-            seed=seed,
-            duration_us=duration_us,
-            partitions=partitions,
-            **overrides,
-        )
+    """Offload-vs-host comparison across the media transports."""
     names = (
         [resolve_transport(t) for t in transports]
         if transports is not None

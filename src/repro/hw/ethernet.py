@@ -91,12 +91,6 @@ class EthernetLink:
     def wire_time_us(self, wire_bytes: int) -> float:
         return wire_bytes * 8.0 / self.bandwidth_mbps  # Mbps == bits/µs
 
-    def min_latency_us(self) -> float:
-        """Partition-boundary declaration: a lower bound on any transmit
-        through this link (propagation alone; wire time and tx-queue wait
-        only add). Conservative lookahead for :mod:`repro.pdes.boundary`."""
-        return self.propagation_us
-
     def transmit(self, wire_bytes: int) -> Generator[Event, None, float]:
         """Process: serialize *wire_bytes* onto this link; returns latency."""
         start = self.env.now
@@ -223,9 +217,8 @@ class EthernetSwitch:
 
         The store-and-forward lookup latency is paid unconditionally
         before the egress link is touched; uplink/downlink wire time,
-        propagation, and queueing only add to it. A safe conservative
-        lookahead for per-node PDES partitions coupled through this
-        switch (:mod:`repro.pdes.boundary`)."""
+        propagation, and queueing only add to it. The SAN seam's lookahead
+        builds on it (:meth:`repro.server.cluster.Cluster.min_cross_latency_us`)."""
         return self.latency_us
 
     @property

@@ -94,17 +94,6 @@ class PCIBridge:
         self.system_bus = system_bus
         self.segment = segment
 
-    def min_cross_latency_us(self) -> float:
-        """Partition-boundary declaration: the minimum time any interaction
-        takes to cross this bridge (host complex ↔ NI complex).
-
-        Every bridge transfer pays both buses' per-transaction overhead
-        before a single byte moves, and bus-lock waits only add to that —
-        so this is a safe conservative lookahead for a PDES split along
-        the host/NI seam (:mod:`repro.pdes.boundary`).
-        """
-        return self.segment.per_transaction_us + self.system_bus.per_transaction_us
-
     def transfer(
         self, nbytes: int, priority: float = 0.0
     ) -> Generator[Event, None, float]:

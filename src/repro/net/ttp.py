@@ -640,8 +640,11 @@ class TTPStack:
             tag=link.tag,
             credit=self.credits,
         )
+        # OPEN gets the data path's budget: max_retries timer retransmissions
+        # after the first send, so a handshake survives the loss a data
+        # packet would.
         open_wait_us = self.retx_us
-        for _attempt in range(8):
+        for _attempt in range(self.max_retries + 1):
             yield from self._transmit(open_pkt, dest_host)
             result = yield link._opened | self.env.timeout(open_wait_us)
             open_wait_us = min(open_wait_us * 2.0, self.retx_max_us)

@@ -2,18 +2,16 @@
 
 The sweep engine (:mod:`repro.parallel`) parallelizes *across* runs;
 this package parallelizes *within* one. It exploits the structure the
-hardware model already encodes: the server is a distributed machine
-whose islands — host complex, NI complex, cluster nodes — interact only
-through buses and networks with known **minimum** latencies (PCI bridge,
-Ethernet switch, SAN). Those minimums are conservative lookahead, so a
-coordinator can advance every partition through synchronized time
-windows and deliver cross-partition interactions as timestamped
-messages, with no rollback and no speculation.
+hardware model already encodes: cluster nodes interact only through the
+SAN, whose **minimum** crossing latency
+(:meth:`repro.server.cluster.Cluster.min_cross_latency_us`) is a
+conservative lookahead, so a coordinator can advance every node
+partition through synchronized time windows and deliver cross-partition
+interactions as timestamped messages, with no rollback and no
+speculation.
 
 Layers:
 
-* :mod:`repro.pdes.boundary` — seam declarations read off the hardware
-  models (PCI / Ethernet / SAN lookahead).
 * :mod:`repro.pdes.partition` — :class:`PartitionSpec`,
   :class:`PartitionHarness`, :class:`CrossMessage`.
 * :mod:`repro.pdes.coordinator` — the window protocol plus the serial
@@ -22,16 +20,12 @@ Layers:
 * :mod:`repro.pdes.cluster` — the ``pdescluster`` experiment: a
   front-door partition plus N node partitions coupled by admission
   waves across the SAN seam.
-* :mod:`repro.pdes.plan` — partition plans for the existing experiment
-  suite: seam-tagged units fanned across workers and merged back in
-  fixed order, byte-identical to the serial run.
 
 The correctness oracle is the same one every kernel optimisation here
 answers to: golden digests. A partitioned run must produce *the byte-
 identical result* of the serial run — for every worker count.
 """
 
-from .boundary import Seam, describe_seams, ethernet_seam, pci_seam, san_seam
 from .cluster import pdescluster_specs, run_pdescluster
 from .coordinator import (
     CausalityError,
@@ -42,14 +36,8 @@ from .coordinator import (
     run_partitioned,
 )
 from .partition import CrossMessage, PartitionHarness, PartitionSpec
-from .plan import Plan, Unit, plan_axes, plans, run_plan
 
 __all__ = [
-    "Seam",
-    "describe_seams",
-    "pci_seam",
-    "ethernet_seam",
-    "san_seam",
     "CrossMessage",
     "PartitionHarness",
     "PartitionSpec",
@@ -61,9 +49,4 @@ __all__ = [
     "run_partitioned",
     "pdescluster_specs",
     "run_pdescluster",
-    "Plan",
-    "Unit",
-    "plans",
-    "plan_axes",
-    "run_plan",
 ]

@@ -3,7 +3,7 @@
 A partitioned run decomposes one simulation into N logical partitions.
 Each partition owns a full :class:`~repro.sim.Environment` (its own
 event queue, clock, and RNG substreams) and simulates one island of the
-hardware — a node, or the host complex, or the NI complex. Everything
+hardware, such as one cluster node or the admission front door. Everything
 that crosses a seam becomes a :class:`CrossMessage`: a timestamped,
 canonical-dict payload whose delivery time is the send time plus the
 seam's declared latency (never less than the seam lookahead, which is

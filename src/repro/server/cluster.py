@@ -56,8 +56,8 @@ class Cluster:
 
     def min_cross_latency_us(self) -> float:
         """Partition-boundary declaration: the minimum node-to-node latency
-        across the SAN (per-node PDES partitions,
-        :mod:`repro.pdes.boundary`).
+        across the SAN — the lookahead of the per-node PDES partitions
+        (:data:`repro.pdes.cluster.SAN_LOOKAHEAD_US`).
 
         Every inter-node frame pays the source NI's fixed per-packet
         encapsulation cost before it reaches the wire, then the SAN

@@ -10,9 +10,12 @@ import pytest
 
 from repro.experiments.bench import (
     HOST_FIELDS,
+    PARTITION_TARGET_SPEEDUP,
     WORKLOADS,
     baseline_comparability,
+    critical_path_seconds,
     host_fingerprint,
+    run_partition_bench,
 )
 
 #: a fully recorded host: every field the comparability check reads
@@ -100,3 +103,66 @@ class TestBenchConstants:
         from repro.experiments.bench import HEADLINE
 
         assert HEADLINE in WORKLOADS
+
+    def test_partition_speedup_target_is_pinned(self):
+        assert PARTITION_TARGET_SPEEDUP == 1.3
+
+
+class TestCriticalPath:
+    def test_folds_overlap_and_recovers_coordinator_share(self):
+        timing = {
+            "wall_s": 10.0,
+            "startup_s": 2.0,
+            "worker_build_cpu_s": {0: 1.0, 1: 3.0},
+            "worker_cpu_s": {0: 2.0, 1: 4.0},
+        }
+        critical, coord = critical_path_seconds(timing)
+        # coordinator share: wall - startup - SUM(window cpu) = 10 - 2 - 6
+        assert coord == pytest.approx(2.0)
+        # critical path: MAX bring-up + MAX window + coordinator = 3 + 4 + 2
+        assert critical == pytest.approx(9.0)
+
+    def test_clamps_negative_coordinator_share(self):
+        # workers genuinely overlapped: wall < startup + sum(cpu)
+        timing = {
+            "wall_s": 4.0,
+            "startup_s": 1.0,
+            "worker_build_cpu_s": {0: 0.5, 1: 0.5},
+            "worker_cpu_s": {0: 2.0, 1: 2.0},
+        }
+        critical, coord = critical_path_seconds(timing)
+        assert coord == 0.0
+        assert critical == pytest.approx(0.5 + 2.0)
+
+    def test_degrades_to_serial_shape_without_worker_data(self):
+        # a serial run reports no per-worker CPU: critical path == wall
+        timing = {"wall_s": 7.0, "startup_s": 0.0}
+        critical, coord = critical_path_seconds(timing)
+        assert coord == pytest.approx(7.0)
+        assert critical == pytest.approx(7.0)
+
+
+class TestPartitionBench:
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_rejects_non_positive_worker_counts(self, bad):
+        with pytest.raises(ValueError, match="positive worker count"):
+            run_partition_bench(bad)
+
+    def test_verdict_is_the_measured_speedup_not_the_model(
+        self, tmp_path, monkeypatch
+    ):
+        """A modelled critical path far below the wall must not turn a
+        measured slowdown into "target met"."""
+        monkeypatch.setattr(
+            "repro.experiments.bench.critical_path_seconds",
+            lambda timing: (1e-6, 0.0),
+        )
+        section = run_partition_bench(
+            1, quick=True, n_nodes=1, out_path=tmp_path / "b.json"
+        )
+        assert section["speedup_critical_path"] >= PARTITION_TARGET_SPEEDUP
+        assert section["target_met"] is False
+        assert section["target_met"] == (
+            section["speedup_measured"] >= section["target_speedup"]
+        )
+        assert section["cores"] == host_fingerprint()["nproc"]

@@ -1,7 +1,10 @@
 """The python -m repro.experiments command-line runner."""
 
+import inspect
+
 import pytest
 
+from repro.experiments import REGISTRY
 from repro.experiments.__main__ import main
 
 
@@ -38,6 +41,29 @@ def test_plots_include_ascii_series(tmp_path, capsys):
     text = (tmp_path / "figure6.txt").read_text()
     assert "util:none" in text
     assert "*" in text  # a plotted point
+
+
+class TestPartitionsFlag:
+    def test_only_pdescluster_takes_partitions(self):
+        params = {
+            name: set(inspect.signature(runner).parameters)
+            for name, runner in REGISTRY.items()
+        }
+        assert [n for n, p in params.items() if "partitions" in p] == ["pdescluster"]
+        # every runner keyword, pinned: a load-level subset or a control-
+        # block toggle would be a runner option with no caller
+        assert set().union(*params.values()) == {
+            "duration_us", "kinds", "n_nodes", "out_dir", "partitions",
+            "policy", "scale", "scenarios", "seed", "service_time_us",
+            "stream_counts", "timing_sink", "transfers", "transport",
+            "transports", "utilization_bound",
+        }
+
+    def test_partitions_flag_rejected_elsewhere(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table5", "--partitions", "2"])
+        err = capsys.readouterr().err
+        assert "'table5' does not take --partitions; only pdescluster does" in err
 
 
 class TestTransportFlag:

@@ -9,10 +9,9 @@ from repro.pdes.coordinator import (
     Coordinator,
     run_partitioned,
 )
-from repro.pdes.hostni import run_hostni
 from repro.pdes.partition import PartitionSpec
 
-from tests.pdes.toys import TOY_LOOKAHEAD_US
+from tests.pdes.toys import DENSE_OPS_A, DENSE_OPS_B, TOY_LOOKAHEAD_US
 
 
 def island_spec(index, peer, ops):
@@ -81,6 +80,10 @@ def test_message_to_unknown_partition_names_valid_indices():
 # -- executor equivalence -----------------------------------------------------
 
 
+def dense_islands():
+    return [island_spec(0, 1, DENSE_OPS_A), island_spec(1, 0, DENSE_OPS_B)]
+
+
 def test_toy_islands_serial_run_is_deterministic():
     ops_a = [["timeout", 0.0, 0], ["succeed", 5.0, 2], ["interrupt", 12.5, 0]]
     ops_b = [["succeed", 5.0, 0], ["timeout", 40.0, 1]]
@@ -91,28 +94,20 @@ def test_toy_islands_serial_run_is_deterministic():
     assert first["stats"]["messages"] >= 3  # pings both ways + pong replies
 
 
-def test_hostni_process_executor_matches_serial_byte_for_byte():
-    serial = run_hostni(n_frames=12, workers=None)
-    procs = run_hostni(n_frames=12, workers=2)
+def test_process_executor_matches_serial_byte_for_byte():
+    serial = run_partitioned(dense_islands(), until=20_000.0, workers=None)
+    procs = run_partitioned(dense_islands(), until=20_000.0, workers=2)
     assert canonical_wo_timing(serial) == canonical_wo_timing(procs)
     assert serial["stats"]["workers"] == 0
     assert procs["stats"]["workers"] == 2
     # the window schedule itself is a pure function of the specs
     assert serial["stats"]["bounds"] == procs["stats"]["bounds"]
-
-
-def test_hostni_completes_the_descriptor_ring():
-    outcome = run_hostni(n_frames=12)
-    host = outcome["fragments"][0]
-    ni = outcome["fragments"][1]
-    assert host["posted"] == 12
-    assert host["acked"] == 12
-    assert ni["served"] == 12
+    assert len(serial["stats"]["bounds"]) > 1
 
 
 def test_worker_count_is_clamped_to_partition_count():
-    # 2 hostni partitions on 8 requested workers -> 2 spawned
-    outcome = run_hostni(n_frames=6, workers=8)
+    # 2 island partitions on 8 requested workers -> 2 spawned
+    outcome = run_partitioned(dense_islands(), until=20_000.0, workers=8)
     assert outcome["stats"]["workers"] == 2
 
 
@@ -125,7 +120,7 @@ def test_pdescluster_process_executor_matches_serial(tmp_path):
 
 
 def test_timing_block_is_present_but_excluded_from_canonical():
-    outcome = run_hostni(n_frames=6, workers=2)
+    outcome = run_partitioned(dense_islands(), until=20_000.0, workers=2)
     timing = outcome["timing"]
     assert timing["wall_s"] > 0.0
     assert timing["startup_s"] > 0.0

@@ -18,7 +18,7 @@ from repro.pdes.coordinator import run_partitioned
 from repro.pdes.partition import PartitionSpec
 from repro.sim import Environment
 
-from tests.pdes.toys import TOY_LOOKAHEAD_US, MonoIsland
+from tests.pdes.toys import DENSE_OPS_A, DENSE_OPS_B, TOY_LOOKAHEAD_US, MonoIsland
 
 #: simulation horizon: past the waiter timeout, past every cascade
 UNTIL_US = 20_000.0
@@ -90,13 +90,7 @@ def test_partitioned_logs_match_the_monolithic_kernel(ops_a, ops_b):
 def test_process_executor_matches_the_monolithic_kernel_too():
     """One fixed dense script through spawned workers (spawn is slow, so
     the randomized sweep above stays serial; the executors are proven
-    equivalent separately on the hostni workload)."""
-    ops_a = [
-        ["succeed", 5.0, 0], ["succeed", 5.0, 3], ["timeout", 40.0, 0],
-        ["interrupt", 12.5, 0], ["succeed", 100.0, 7],
-    ]
-    ops_b = [
-        ["succeed", 5.0, 0], ["timeout", 5.0, 0], ["succeed", 40.0, 1],
-        ["interrupt", 1.0, 0],
-    ]
-    assert run_windows(ops_a, ops_b, workers=2) == run_monolithic(ops_a, ops_b)
+    byte-identical separately in test_coordinator.py)."""
+    assert run_windows(DENSE_OPS_A, DENSE_OPS_B, workers=2) == run_monolithic(
+        DENSE_OPS_A, DENSE_OPS_B
+    )

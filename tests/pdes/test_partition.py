@@ -1,10 +1,8 @@
-"""Unit tests for the partition primitives and the seam declarations."""
+"""Unit tests for the partition primitives and the SAN seam lookahead."""
 
 import pytest
 
-from repro.pdes.boundary import Seam, describe_seams
 from repro.pdes.cluster import SAN_LOOKAHEAD_US
-from repro.pdes.hostni import PCI_LOOKAHEAD_US
 from repro.pdes.partition import (
     MESSAGE_PRIORITY,
     CrossMessage,
@@ -163,23 +161,7 @@ def test_deliver_schedules_at_message_priority():
     assert MESSAGE_PRIORITY == 0
 
 
-# -- seams --------------------------------------------------------------------
-
-
-def test_seam_rejects_nonpositive_lookahead():
-    with pytest.raises(ValueError, match="positive lookahead"):
-        Seam(name="bad", lookahead_us=0.0, description="zero-width")
-
-
-def test_describe_seams_reports_the_three_hardware_boundaries():
-    seams = {s.name: s for s in describe_seams()}
-    assert set(seams) == {"pci", "ethernet", "san"}
-    assert all(s.lookahead_us > 0 for s in seams.values())
-
-
-def test_pci_lookahead_pins_the_bridge_minimum():
-    seams = {s.name: s for s in describe_seams()}
-    assert PCI_LOOKAHEAD_US == seams["pci"].lookahead_us
+# -- the SAN seam -------------------------------------------------------------
 
 
 def test_san_lookahead_pins_the_cluster_minimum():
@@ -189,6 +171,3 @@ def test_san_lookahead_pins_the_cluster_minimum():
 
     cluster = Cluster(Environment(), n_nodes=2, n_cpus_per_node=1)
     assert SAN_LOOKAHEAD_US == cluster.min_cross_latency_us()
-    assert SAN_LOOKAHEAD_US == {s.name: s for s in describe_seams()}[
-        "san"
-    ].lookahead_us

@@ -17,6 +17,17 @@ from repro.sim import Interrupt
 #: the toy seam lookahead, deliberately tie-friendly
 TOY_LOOKAHEAD_US = 5.0
 
+#: a fixed dense script for the two islands: same-tick sends, an
+#: interrupt, and pings and pongs that cross several windows
+DENSE_OPS_A = [
+    ["succeed", 5.0, 0], ["succeed", 5.0, 3], ["timeout", 40.0, 0],
+    ["interrupt", 12.5, 0], ["succeed", 100.0, 7],
+]
+DENSE_OPS_B = [
+    ["succeed", 5.0, 0], ["timeout", 5.0, 0], ["succeed", 40.0, 1],
+    ["interrupt", 1.0, 0],
+]
+
 
 class IslandHarness(PartitionHarness):
     """One island of a two-island toy: replays a scripted op list.
