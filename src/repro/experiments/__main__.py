@@ -4,8 +4,7 @@
     python -m repro.experiments table1 figure7 # run selected experiments
     python -m repro.experiments --list         # show experiment ids
     python -m repro.experiments figure7 --plots out/   # + ASCII plot files
-    python -m repro.experiments bench          # wall-clock benchmark
-    python -m repro.experiments bench --quick  # CI smoke benchmark
+    python -m repro.experiments bench --partitions 2  # serial vs partitioned wall clock
     python -m repro.experiments sweep --jobs 4 # parallel sweep + cache
 """
 
@@ -52,7 +51,7 @@ def _write_artifacts(result: ExperimentResult, directory: Path, name: str) -> No
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "bench":
-        # the benchmark harness owns its own CLI (see bench.py)
+        # the partition bench owns its own CLI (see bench.py)
         from .bench import main as bench_main
 
         return bench_main(argv[1:])

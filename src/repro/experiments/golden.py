@@ -6,13 +6,13 @@ single scheduling decision or delivered byte. The proof is a digest — a
 SHA-256 over a canonical serialization of everything an experiment
 reports (rows, series arrays, notes) — checked into the repository
 (``golden_digests.json`` next to this module) and recomputed by the
-regression tests and the wall-clock benchmark harness.
+regression tests and by :func:`verify`.
 
 Two digest sets are kept:
 
 * ``full`` — every id in ``GOLDEN_IDS`` at the paper's full
   100-simulated-second duration, seed 42. Verified by
-  ``python -m repro.experiments bench``.
+  ``python -m repro.experiments.golden --verify full``.
 * ``short`` — every id in ``SHORT_IDS`` at a 10-simulated-second
   duration, seed 42. Cheap enough for the tier-1 test suite
   (``tests/experiments/test_golden_digests.py``).
@@ -38,6 +38,7 @@ __all__ = [
     "GOLDEN_IDS",
     "SHORT_IDS",
     "SHORT_DURATION_US",
+    "GOLDEN_SEED",
     "result_digest",
     "trace_digest",
     "compute_result",
@@ -47,7 +48,7 @@ __all__ = [
     "verify",
 ]
 
-#: every experiment the bench harness pins byte-for-byte (full duration)
+#: every experiment pinned byte-for-byte at full duration
 GOLDEN_IDS = (
     "table1",
     "table2",
@@ -88,6 +89,9 @@ SHORT_IDS = (
 #: 10 simulated seconds: long enough for streams to settle and every
 #: chaos/failover fault window to open and clear, short enough for CI
 SHORT_DURATION_US = 10_000_000.0
+
+#: the one seed both sets are pinned and verified at
+GOLDEN_SEED = 42
 
 _GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -186,9 +190,7 @@ def save_goldens(goldens: dict) -> None:
     _GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
 
 
-def refresh(
-    which: str = "short", seed: int = 42, verbose: bool = True, jobs: int = 1
-) -> dict:
+def refresh(which: str = "short", verbose: bool = True, jobs: int = 1) -> dict:
     """Recompute and store one digest set; returns the updated file dict.
 
     ``jobs > 1`` fans the recomputation out across worker processes (no
@@ -209,7 +211,8 @@ def refresh(
         from repro.parallel import Job, SweepRunner
 
         specs = [
-            Job(experiment=name, seed=seed, duration_us=duration) for name in ids
+            Job(experiment=name, seed=GOLDEN_SEED, duration_us=duration)
+            for name in ids
         ]
         report = SweepRunner(workers=jobs, cache=None).run(specs)
         failed = [o for o in report.outcomes if not o.ok]
@@ -227,12 +230,12 @@ def refresh(
             # artifacts stay off disk during digest runs: the digest covers
             # the result object, not the exporter side effects
             digests[name] = compute_digest(
-                name, seed=seed, duration_us=duration, out_dir=None
+                name, seed=GOLDEN_SEED, duration_us=duration, out_dir=None
             )
             if verbose:
                 print(f"{which}:{name} = {digests[name]}")
     goldens[which] = {
-        "seed": seed,
+        "seed": GOLDEN_SEED,
         "duration_us": duration,
         "digests": digests,
     }
@@ -240,11 +243,7 @@ def refresh(
     return goldens
 
 
-def verify(
-    which: str = "short",
-    seed: int = 42,
-    verbose: bool = True,
-) -> list[str]:
+def verify(which: str = "short", verbose: bool = True) -> list[str]:
     """Recompute one digest set and compare against the pinned file.
 
     Returns the ids whose digests do not match (empty list == verified);
@@ -260,7 +259,9 @@ def verify(
     pinned = goldens.get(which, {}).get("digests", {})
     mismatches = []
     for name in ids:
-        digest = compute_digest(name, seed=seed, duration_us=duration, out_dir=None)
+        digest = compute_digest(
+            name, seed=GOLDEN_SEED, duration_us=duration, out_dir=None
+        )
         ok = digest == pinned.get(name)
         if not ok:
             mismatches.append(name)
@@ -284,16 +285,15 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
         help="recompute the set and compare against the pinned digests "
         "(exit 1 on any mismatch)",
     )
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="refresh: worker processes for the recomputation fan-out",
     )
     args = parser.parse_args()
     if args.refresh:
-        refresh(args.refresh, seed=args.seed, jobs=args.jobs)
+        refresh(args.refresh, jobs=args.jobs)
     else:
-        bad = verify(args.verify, seed=args.seed)
+        bad = verify(args.verify)
         if bad:
             print(f"MISMATCHED: {', '.join(bad)}", file=sys.stderr)
             sys.exit(1)

@@ -59,7 +59,8 @@ __all__ = [
     "main",
 ]
 
-#: the acceptance matrix: the four bench workloads
+#: the acceptance matrix: Figure 9 and the chaos, failover and observe
+#: campaigns that replay its streaming cell
 DEFAULT_SWEEP_EXPERIMENTS = ("figure9", "chaos", "failover", "observe")
 
 #: replication factor for the default matrix

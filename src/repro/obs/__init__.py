@@ -19,7 +19,6 @@ from .plane import (
     CLUSTER_CATEGORY,
     ObservabilityPlane,
 )
-from .profile import WallClockProfiler, maybe_profile
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .slo import (
     CHAOS_SLOS,
@@ -75,6 +74,4 @@ __all__ = [
     "OBSERVE_SLOS",
     "FAILOVER_SLOS",
     "CHAOS_SLOS",
-    "WallClockProfiler",
-    "maybe_profile",
 ]

@@ -1,109 +1,26 @@
-"""Bench harness logic that runs without timing anything.
+"""Partition bench logic, CLI surface and checked-in report.
 
-The timed paths (fresh-interpreter children, full digest verification)
-are exercised by the CI bench-smoke job; here we pin the pure decision
-logic — above all that an incomparable baseline can never yield a
-speedup figure.
+The full-duration timed path is exercised by CI's pdes-smoke job; here
+we pin the critical-path arithmetic, that the verdict is the measured
+speedup, which options the CLI accepts, and the shape of the report it
+writes.
 """
+
+import json
 
 import pytest
 
 from repro.experiments.bench import (
-    HOST_FIELDS,
+    DEFAULT_OUT,
     PARTITION_TARGET_SPEEDUP,
-    WORKLOADS,
-    baseline_comparability,
     critical_path_seconds,
-    host_fingerprint,
+    main,
     run_partition_bench,
+    usable_cores,
 )
-
-#: a fully recorded host: every field the comparability check reads
-HOST = {
-    "python": "3.11.7",
-    "machine": "x86_64",
-    "cpu_model": "Intel Xeon Processor",
-    "nproc": 2,
-}
-
-
-class TestBaselineComparability:
-    def test_matching_environment_is_comparable(self):
-        ok, reason = baseline_comparability(HOST, HOST)
-        assert ok
-        assert reason == ""
-
-    def test_python_mismatch_is_incomparable(self):
-        ok, reason = baseline_comparability(HOST, {**HOST, "python": "3.12.1"})
-        assert not ok
-        assert "python" in reason
-        assert "3.11.7" in reason and "3.12.1" in reason
-
-    def test_machine_mismatch_is_incomparable(self):
-        ok, reason = baseline_comparability(HOST, {**HOST, "machine": "aarch64"})
-        assert not ok
-        assert "machine" in reason
-
-    def test_both_mismatched_names_both_fields(self):
-        current = {**HOST, "python": "3.12.1", "machine": "aarch64"}
-        ok, reason = baseline_comparability(HOST, current)
-        assert not ok
-        assert "python" in reason and "machine" in reason
-
-    def test_cpu_model_mismatch_is_incomparable(self):
-        current = {**HOST, "cpu_model": "AMD EPYC 7B13"}
-        ok, reason = baseline_comparability(HOST, current)
-        assert not ok
-        assert reason == "cpu_model 'Intel Xeon Processor' != 'AMD EPYC 7B13'"
-
-    def test_nproc_mismatch_is_incomparable(self):
-        ok, reason = baseline_comparability(HOST, {**HOST, "nproc": 8})
-        assert not ok
-        assert reason == "nproc 2 != 8"
-
-    @pytest.mark.parametrize("field", ["cpu_model", "nproc"])
-    def test_unrecorded_host_field_is_incomparable(self, field):
-        """A baseline that predates the field cannot vouch for the host."""
-        base = {k: v for k, v in HOST.items() if k != field}
-        ok, reason = baseline_comparability(base, HOST)
-        assert not ok
-        assert reason == f"{field} not recorded in baseline"
-
-    def test_missing_baseline_fields_are_incomparable(self):
-        """A baseline captured before provenance fields existed must not
-        silently compare equal."""
-        ok, reason = baseline_comparability({}, HOST)
-        assert not ok
-        assert all(field in reason for field in HOST_FIELDS)
-
-    def test_no_baseline(self):
-        ok, reason = baseline_comparability(None)
-        assert not ok
-        assert reason == "no baseline"
-
-    def test_host_fingerprint_records_every_compared_field(self):
-        host = host_fingerprint()
-        assert set(HOST_FIELDS) <= set(host)
-        assert isinstance(host["nproc"], int) and host["nproc"] >= 1
-        assert host["cpu_model"]
-        ok, reason = baseline_comparability(host, host)
-        assert ok, reason
-
-    def test_checked_in_baseline_has_provenance_fields(self):
-        import json
-
-        from repro.experiments.bench import BASELINE_PATH
-
-        baseline = json.loads(BASELINE_PATH.read_text())
-        assert "python" in baseline and "machine" in baseline
 
 
 class TestBenchConstants:
-    def test_headline_is_a_workload(self):
-        from repro.experiments.bench import HEADLINE
-
-        assert HEADLINE in WORKLOADS
-
     def test_partition_speedup_target_is_pinned(self):
         assert PARTITION_TARGET_SPEEDUP == 1.3
 
@@ -165,4 +82,41 @@ class TestPartitionBench:
         assert section["target_met"] == (
             section["speedup_measured"] >= section["target_speedup"]
         )
-        assert section["cores"] == host_fingerprint()["nproc"]
+        assert section["cores"] == usable_cores()
+
+    def test_report_holds_only_the_partitions_section(self, tmp_path):
+        """The bench replaces the report rather than merging into it, so
+        sections from an older report cannot linger next to new timings."""
+        out = tmp_path / "b.json"
+        out.write_text(json.dumps({"workloads": {}}))
+        section = run_partition_bench(1, quick=True, n_nodes=1, out_path=out)
+        assert json.loads(out.read_text()) == {"partitions": section}
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--partitions", "1", "--reps", "3"],
+            ["--partitions", "1", "--jobs", "2"],
+            ["--partitions", "1", "--profile"],
+        ],
+        ids=["no-partitions", "reps", "jobs", "profile"],
+    )
+    def test_rejects_all_but_the_partition_bench(self, tmp_path, extra):
+        argv = ["--quick", "--nodes", "1", "--out", str(tmp_path / "b.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + extra)
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "b.json").exists()
+
+
+def test_checked_in_report_is_one_partitions_section():
+    report = json.loads(DEFAULT_OUT.read_text())
+    assert set(report) == {"partitions"}
+    section = report["partitions"]
+    assert section["identical"] is True
+    assert section["target_met"] == (
+        section["speedup_measured"] >= section["target_speedup"]
+    )

@@ -6,9 +6,10 @@ it to that. The ``short`` digest set (every experiment in
 campaigns, both sensitivity runners, transport, pdescluster — at 10
 simulated seconds, seed 42) is *recomputed on every tier-1 run* and
 compared byte-for-byte against the checked-in ``golden_digests.json``. The
-``full`` set is too slow for tier-1 — the bench harness
-(``python -m repro.experiments bench``) verifies it — so here we only
-check its shape.
+``full`` set is too slow for tier-1 — CI verifies it with
+``python -m repro.experiments.golden --verify full`` — so here we only
+check its shape, and check :func:`golden.verify` itself against a faked
+digest function.
 
 If one of these fails after an *intentional* behaviour change, refresh
 with::
@@ -16,11 +17,18 @@ with::
     PYTHONPATH=src python -m repro.experiments.golden --refresh short
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import golden
 from repro.sim import Environment
 from repro.sim.trace import Tracer
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 # -- checked-in digest file shape ------------------------------------------
@@ -78,6 +86,50 @@ def test_compute_digest_is_deterministic():
     assert golden.compute_digest("figure9", **kwargs) == golden.compute_digest(
         "figure9", **kwargs
     )
+
+
+# -- verify: the full-set gate, against a faked digest function -------------
+
+
+class TestVerify:
+    @pytest.fixture
+    def pin(self, monkeypatch):
+        """Pin a fake short section over ids a, b, c; the fake digest
+        names its seed, so a recomputation at any seed but 42 drifts."""
+
+        def fake_digest(name, seed, duration_us, out_dir):
+            return f"{name}@{seed}"
+
+        def install(digests):
+            section = {"seed": 42, "duration_us": 1.0, "digests": digests}
+            monkeypatch.setattr(golden, "load_goldens", lambda: {"short": section})
+            monkeypatch.setattr(golden, "SHORT_IDS", ("a", "b", "c"))
+            monkeypatch.setattr(golden, "compute_digest", fake_digest)
+
+        return install
+
+    def test_returns_exactly_the_drifted_ids(self, pin):
+        pin({"a": "a@42", "b": "stale", "c": "c@42"})
+        assert golden.verify("short", verbose=False) == ["b"]
+
+    def test_unpinned_id_is_a_mismatch(self, pin):
+        pin({"a": "a@42", "b": "b@42"})
+        assert golden.verify("short", verbose=False) == ["c"]
+
+
+def test_cli_rejects_seed_with_verify():
+    """Both sets are pinned at seed 42 and the CLI has no ``--seed``, so
+    one is refused up front rather than reported as drift."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.golden",
+         "--verify", "short", "--seed", "7"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--seed" in proc.stderr
 
 
 # -- trace_digest ------------------------------------------------------------
