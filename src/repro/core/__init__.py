@@ -10,17 +10,10 @@ from .admission import AdmissionController, AdmissionDecision, mandatory_utiliza
 from .attributes import StreamSpec, StreamState
 from .calendar import CalendarQueue, SortedList
 from .costs import DWCSCostModel
-from .dispatch import AsyncDispatcher, CoupledDispatcher
 from .dwcs import Decision, DWCSScheduler, SchedulerStats
 from .engine import MicrobenchEngine, MicrobenchResult, StreamingEngine
 from .heaps import OpHeap
-from .queues import (
-    CircularBufferQueue,
-    HardwareQueueRing,
-    PacketQueue,
-    QueueFullError,
-    TaggedQueue,
-)
+from .queues import CircularBufferQueue, HardwareQueueRing, PacketQueue, QueueFullError
 from .selection import DualHeaps, Entry, LinearScan, SelectionStructure, compare_entries
 
 __all__ = [
@@ -37,7 +30,6 @@ __all__ = [
     "PacketQueue",
     "CircularBufferQueue",
     "HardwareQueueRing",
-    "TaggedQueue",
     "QueueFullError",
     "SelectionStructure",
     "LinearScan",
@@ -49,6 +41,4 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "mandatory_utilization",
-    "CoupledDispatcher",
-    "AsyncDispatcher",
 ]

@@ -17,7 +17,10 @@ Two drivers cover the paper's two measurement styles:
 
 Both charge decision and dispatch costs through the CPU cost model and hand
 transmissions to a caller-supplied ``transmit(descriptor)`` process factory
-(fire-and-forget: the MAC serializes on its own link resource).
+(fire-and-forget: the MAC serializes on its own link resource). Dispatch is
+coupled to scheduling (paper §3.1.1): each cycle charges the device
+programming inline, so no dispatch queue adds delay or jitter. The
+asynchronous alternative is measured in ``benchmarks/test_ablations_bench.py``.
 """
 
 from __future__ import annotations
@@ -108,16 +111,12 @@ class StreamingEngine:
         transmit: TransmitFn,
         working_set_bytes: Optional[int] = None,
         idle_poll_us: float = 2_000.0,
-        dispatcher: Optional[object] = None,
     ) -> None:
         self.env = env
         self.scheduler = scheduler
         self.cpu = cpu
         self.transmit = transmit
         self.working_set_bytes = working_set_bytes
-        #: optional dispatch strategy (see :mod:`repro.core.dispatch`);
-        #: None keeps the default coupled, inline dispatch
-        self.dispatcher = dispatcher
         #: optional callback invoked for every dropped descriptor (frame
         #: memory reclamation, loss reporting, ...)
         self.on_drop: Optional[Callable[[FrameDescriptor], None]] = None
@@ -222,28 +221,21 @@ class StreamingEngine:
                 if self.on_epoch is not None:
                     self.on_epoch(decision)
             if decision.serviced is not None:
-                if self.dispatcher is not None:
-                    # strategy object decides coupled/async behaviour;
-                    # queuing delay here records scheduler-side hand-off
-                    yield from self.dispatcher.submit(decision.serviced, task)
-                else:
-                    d_ops = self.scheduler.dispatch_ops()
-                    sp = (
-                        obs.begin(
-                            "dispatch",
-                            track=f"cpu:{self.cpu.name}",
-                            stream=decision.serviced.stream_id,
-                            seq=decision.serviced.frame.seqno,
-                        )
-                        if obs is not None
-                        else None
+                d_ops = self.scheduler.dispatch_ops()
+                sp = (
+                    obs.begin(
+                        "dispatch",
+                        track=f"cpu:{self.cpu.name}",
+                        stream=decision.serviced.stream_id,
+                        seq=decision.serviced.frame.seqno,
                     )
-                    yield task.compute(
-                        self.cpu.time_for(d_ops, self.working_set_bytes)
-                    )
-                    if obs is not None:
-                        obs.end(sp)
-                    env.process(self.transmit(decision.serviced))
+                    if obs is not None
+                    else None
+                )
+                yield task.compute(self.cpu.time_for(d_ops, self.working_set_bytes))
+                if obs is not None:
+                    obs.end(sp)
+                env.process(self.transmit(decision.serviced))
                 self._record_dispatch(decision)
             elif self.scheduler.backlog == 0 or decision.idle_until is not None:
                 # Nothing to send: sleep until a release or a new arrival.

@@ -19,14 +19,13 @@ Two builds of the same ring:
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from repro.fixedpoint import OpCounter
 from repro.hw.memory import HardwareQueueFile
 from repro.media.frames import FrameDescriptor
 
-__all__ = ["PacketQueue", "CircularBufferQueue", "HardwareQueueRing", "TaggedQueue", "QueueFullError"]
+__all__ = ["PacketQueue", "CircularBufferQueue", "HardwareQueueRing", "QueueFullError"]
 
 
 class QueueFullError(RuntimeError):
@@ -97,75 +96,6 @@ class PacketQueue:
         ops.int_ops += 2
         ops.mem_writes += 1  # publish new head
         return desc
-
-
-class TaggedQueue(PacketQueue):
-    """Per-stream queue ordered by a per-packet *service tag*.
-
-    Paper §3.1.1: "Packets in a given stream (at the same priority level)
-    may be scheduled in arrival order (FCFS) or based on a service tag
-    associated with each packet." The rings serve FCFS; this queue serves
-    lowest-tag-first (e.g. earliest internal deadline of a striped or
-    re-ordered source), at the cost of heap maintenance per operation and
-    of needing producer/consumer synchronization (unlike the lock-free
-    ring).
-
-    The tag defaults to the frame's presentation timestamp.
-    """
-
-    def __init__(self, stream_id: str, capacity: int = 256) -> None:
-        super().__init__(stream_id, capacity)
-        self._heap: list[tuple[float, int, FrameDescriptor]] = []
-        self._seq = 0
-
-    @staticmethod
-    def tag_of(desc: FrameDescriptor) -> float:
-        return desc.frame.pts_us
-
-    def enqueue(self, desc: FrameDescriptor, ops: OpCounter) -> None:
-        if self.full:
-            raise QueueFullError(f"stream {self.stream_id!r} tagged queue full")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.tag_of(desc), self._seq, desc))
-        # heap sift: ~log n compares and writes, plus lock acquire/release
-        depth = max(1, len(self._heap).bit_length())
-        ops.int_ops += depth + 2
-        ops.mem_reads += depth
-        ops.mem_writes += depth + 1
-        ops.branches += depth
-        self._tail += 1
-        self.enqueued_total += 1
-
-    def head(self, ops: OpCounter) -> Optional[FrameDescriptor]:
-        ops.mem_reads += 1
-        ops.branches += 1
-        if not self._heap:
-            return None
-        return self._heap[0][2]
-
-    def pop(self, ops: OpCounter) -> FrameDescriptor:
-        if not self._heap:
-            raise IndexError(f"stream {self.stream_id!r} tagged queue empty")
-        _tag, _seq, desc = heapq.heappop(self._heap)
-        depth = max(1, len(self._heap).bit_length())
-        ops.int_ops += depth
-        ops.mem_reads += depth + 1
-        ops.mem_writes += depth + 1
-        ops.branches += depth
-        self._head += 1
-        self.dequeued_total += 1
-        return desc
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def empty(self) -> bool:
-        return not self._heap
-
-    @property
-    def full(self) -> bool:
-        return len(self._heap) >= self.capacity
 
 
 class CircularBufferQueue(PacketQueue):

@@ -6,7 +6,6 @@ extension the paper builds on top.
 """
 
 from .api import VCMError, VCMInterface, VCMPeerDown, VCMTimeout
-from .cluster import DVCM_PORT, DVCMNode, RemoteCallError, RemoteVCM
 from .extension import ExtensionModule, MediaSchedulerExtension
 from .messages import HEADER_WORDS, I2OMessage, I2OReply, MessageQueuePair
 from .runtime import VCMRuntime
@@ -23,8 +22,4 @@ __all__ = [
     "I2OReply",
     "MessageQueuePair",
     "HEADER_WORDS",
-    "DVCMNode",
-    "RemoteVCM",
-    "RemoteCallError",
-    "DVCM_PORT",
 ]

@@ -11,7 +11,7 @@ current cluster applications".
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Generator, Optional
+from typing import Generator
 
 from repro.hw.cpu import CPU
 from repro.rtos.task import Task
@@ -127,17 +127,6 @@ class VCMRuntime:
                 obs.count("vcm.messages_handled", runtime=self.name)
                 if reply.status != "ok":
                     obs.count("vcm.errors", runtime=self.name)
-
-    def execute_local(self, function: str, payload: dict[str, Any]) -> Any:
-        """Invoke an instruction directly (NI-local caller, no messaging).
-
-        Used by producers co-resident on the card — the path-C case where
-        frames never cross the PCI bus at all.
-        """
-        reply = self._execute(I2OMessage(function=function, payload=payload))
-        if reply.status != "ok":
-            raise RuntimeError(f"{function}: {reply.result}")
-        return reply.result
 
     def _execute(self, message: I2OMessage) -> I2OReply:
         handler = self._instructions.get(message.function)

@@ -79,9 +79,6 @@ class Bus:
         return self.env.now - start
 
     # -- introspection -------------------------------------------------------
-    def utilization(self, since: float = 0.0) -> float:
-        return self._lock.utilization(since)
-
     @property
     def queue_length(self) -> int:
         return self._lock.queue_length

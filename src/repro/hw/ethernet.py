@@ -101,9 +101,6 @@ class EthernetLink:
         self.frames_sent += 1
         return self.env.now - start
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self._tx.utilization(since)
-
 
 class EthernetPort:
     """A device's attachment point: an egress link into the switch plus an

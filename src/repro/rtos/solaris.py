@@ -2,9 +2,9 @@
 
 The host side of the paper's comparison: a multiprocessor time-sharing
 kernel (quantum-based round robin) where the DWCS scheduler process competes
-with the Apache process pool, httperf-driven work, and system daemons. Every
-context switch charges the Pentium Pro's switch + cache-pollution cost —
-"context switches ... are expensive due to the CPU's deep cache hierarchy
+with the Apache process pool and httperf-driven work. Every context switch
+charges the Pentium Pro's switch + cache-pollution cost — "context
+switches ... are expensive due to the CPU's deep cache hierarchy
 and due to cache pollution".
 
 ``pbind`` (binding the scheduler to a processor, as the paper does with the
@@ -14,19 +14,18 @@ argument.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hw.cpu import CPUSpec, PENTIUM_PRO_200
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment
 
 from .kernel import OSKernel
-from .task import Task
 
 __all__ = ["SolarisHostOS"]
 
 
 class SolarisHostOS(OSKernel):
-    """Time-sharing multiprocessor kernel with system daemons."""
+    """Time-sharing multiprocessor kernel."""
 
     preemptive = False
     #: TS-class time slice. Solaris 2.x dispatches time-sharing processes
@@ -45,42 +44,6 @@ class SolarisHostOS(OSKernel):
         name: str = "solaris",
     ) -> None:
         super().__init__(env, n_cpus=n_cpus, cpu_spec=cpu_spec, name=name)
-
-    def pbind(self, task: Task, cpu_idx: int) -> None:
-        """Bind *task* to a processor (Solaris ``pbind``)."""
-        if not 0 <= cpu_idx < self.n_cpus:
-            raise ValueError(f"cpu {cpu_idx} out of range")
-        task.bound_cpu = cpu_idx
-
-    def spawn_daemons(
-        self,
-        rng: Optional[RandomStreams] = None,
-        count: int = 4,
-        mean_period_us: float = 200_000.0,
-        mean_burst_us: float = 1_500.0,
-    ) -> list[Task]:
-        """Start background system daemons.
-
-        "even a minimal installation runs system daemons" — these provide
-        the small baseline load visible in Figure 6's no-web-load trace.
-        """
-        streams = rng if rng is not None else RandomStreams(seed=0)
-        tasks = []
-        for i in range(count):
-            gen = streams.stream(f"daemon{i}")
-            tasks.append(
-                self.spawn(
-                    f"daemon{i}",
-                    lambda task, gen=gen: self._daemon(task, gen, mean_period_us, mean_burst_us),
-                    priority=120,
-                )
-            )
-        return tasks
-
-    def _daemon(self, task: Task, gen, mean_period_us: float, mean_burst_us: float) -> Generator:
-        while True:
-            yield self.env.timeout(float(gen.exponential(mean_period_us)))
-            yield task.compute(float(gen.exponential(mean_burst_us)))
 
     # -- time-sharing priority decay ------------------------------------------
     def enable_ts_decay(

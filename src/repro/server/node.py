@@ -122,19 +122,6 @@ class ServerNode:
                 return bridge
         raise ValueError(f"{segment.name} is not a segment of {self.name}")
 
-    def set_online_cpus(self, n: int) -> None:
-        """Model 'psradm'-style offlining by rebuilding the host OS.
-
-        The paper brings CPUs off-line per experiment ("two of the CPUs are
-        brought off-line for a total of two on-line CPUs"). Must be called
-        before tasks are spawned.
-        """
-        if self.host_os.tasks:
-            raise RuntimeError("cannot offline CPUs after tasks were spawned")
-        self.host_os = SolarisHostOS(
-            self.env, n_cpus=n, cpu_spec=self.host_os.cpu_spec, name=f"{self.name}.os"
-        )
-
     def __repr__(self) -> str:
         return (
             f"<ServerNode {self.name!r} cpus={self.host_os.n_cpus} "

@@ -6,11 +6,11 @@ conventions used throughout the reproduction.
 """
 
 from .environment import MS, S, US, Environment
-from .errors import Interrupt, Preempted, SimulationError
+from .errors import Interrupt, SimulationError
 from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
 from .monitor import RateEstimator, TallyStats, TimeSeries
 from .process import Process
-from .resources import PreemptiveResource, Request, Resource, Store, StoreGet, StorePut
+from .resources import Request, Resource, Store, StoreGet, StorePut
 from .rng import RandomStreams
 from .trace import TraceEvent, Tracer
 
@@ -26,10 +26,8 @@ __all__ = [
     "ConditionValue",
     "Process",
     "Interrupt",
-    "Preempted",
     "SimulationError",
     "Resource",
-    "PreemptiveResource",
     "Request",
     "Store",
     "StoreGet",

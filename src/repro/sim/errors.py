@@ -1,21 +1,18 @@
 """Exception types raised by the simulation kernel.
 
-The kernel distinguishes three failure modes:
+The kernel distinguishes two failure modes:
 
 * :class:`SimulationError` — programming errors in the use of the kernel
   (scheduling into the past, re-triggering an event, ...).
 * :class:`Interrupt` — delivered *into* a process when another process
   interrupts it (e.g. preemption of a CPU slice).
-* :class:`Preempted` — payload describing a resource preemption; carried as
-  the ``cause`` of an :class:`Interrupt`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["SimulationError", "Interrupt", "Preempted", "StopSimulation"]
+__all__ = ["SimulationError", "Interrupt", "StopSimulation"]
 
 
 class SimulationError(RuntimeError):
@@ -33,8 +30,9 @@ class StopSimulation(Exception):
 class Interrupt(Exception):
     """Thrown inside a process when it is interrupted by another process.
 
-    ``cause`` carries an arbitrary payload explaining the interruption;
-    for resource preemption it is a :class:`Preempted` record.
+    ``cause`` is whatever the interrupter passed to
+    :meth:`~repro.sim.process.Process.interrupt` (the RTOS kernel passes
+    ``"preempt"`` when a better-ranked task takes the CPU), or ``None``.
     """
 
     def __init__(self, cause: Any = None) -> None:
@@ -44,21 +42,3 @@ class Interrupt(Exception):
     def cause(self) -> Any:
         return self.args[0]
 
-
-@dataclass(frozen=True)
-class Preempted:
-    """Describes a preemption of a resource request.
-
-    Attributes
-    ----------
-    by:
-        The process (or other actor) that caused the preemption.
-    usage_since:
-        Simulated time at which the preempted user acquired the resource.
-    resource:
-        The resource the user was evicted from.
-    """
-
-    by: Any
-    usage_since: float
-    resource: Any

@@ -2,15 +2,15 @@
 
 Every figure in the paper is a time series (CPU utilization, per-stream
 bandwidth, per-frame queuing delay); :class:`TimeSeries` records the raw
-samples and offers the resampling/summarization the experiment harness uses
-to print figure data.
+samples and offers the windowed summaries (mean, maximum) the experiment
+harness uses to print figure data.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -66,25 +66,6 @@ class TimeSeries:
     def maximum(self, start: float = -math.inf, end: float = math.inf) -> float:
         _t, v = self.window(max(start, -1e30), min(end, 1e30))
         return float(v.max()) if v.size else math.nan
-
-    def resample(self, bin_width: float, start: float = 0.0, end: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Bin-average the series into fixed-width bins (for figure output).
-
-        Empty bins produce NaN so gaps are visible rather than interpolated.
-        """
-        t, v = self.times, self.values
-        if end is None:
-            end = float(t[-1]) if t.size else start
-        nbins = max(1, int(math.ceil((end - start) / bin_width)))
-        edges = start + bin_width * np.arange(nbins + 1)
-        idx = np.clip(np.digitize(t, edges) - 1, 0, nbins - 1)
-        mask = (t >= start) & (t < end)
-        sums = np.bincount(idx[mask], weights=v[mask], minlength=nbins)
-        counts = np.bincount(idx[mask], minlength=nbins)
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        centers = edges[:-1] + bin_width / 2.0
-        return centers, means
 
 
 class TallyStats:

@@ -1,4 +1,4 @@
-"""Shared resources: counted resources (with priorities and preemption)
+"""Shared resources: counted resources (with priority-ordered waiters)
 and FIFO stores (message channels).
 
 These model contended hardware in the reproduction: a PCI bus segment is a
@@ -12,14 +12,13 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .errors import Preempted, SimulationError
+from .errors import SimulationError
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
-    from .process import Process
 
-__all__ = ["Request", "Resource", "PreemptiveResource", "Store", "StoreGet", "StorePut"]
+__all__ = ["Request", "Resource", "Store", "StoreGet", "StorePut"]
 
 
 class Request(Event):
@@ -32,14 +31,9 @@ class Request(Event):
             ...  # resource held here
     """
 
-    __slots__ = ("resource", "priority", "time", "process", "usage_since", "preempt")
+    __slots__ = ("resource", "priority", "time")
 
-    def __init__(
-        self,
-        resource: "Resource",
-        priority: float = 0.0,
-        preempt: bool = False,
-    ) -> None:
+    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
         # Event.__init__ inlined: one Request per bus transaction / disk
         # command makes this constructor hot.
         env = resource.env
@@ -52,11 +46,7 @@ class Request(Event):
         self.defused = False
         self.resource = resource
         self.priority = priority
-        self.preempt = preempt
         self.time = env.now
-        self.process: Optional["Process"] = env.active_process
-        #: set when the request is granted
-        self.usage_since: Optional[float] = None
 
     def __enter__(self) -> "Request":
         return self
@@ -86,9 +76,6 @@ class Resource:
         self.users: list[Request] = []
         self._waiters: list[tuple[tuple[float, float, int], Request]] = []
         self._seq = 0
-        #: cumulative busy integral for utilization accounting
-        self._busy_time = 0.0
-        self._busy_since: Optional[float] = None
 
     # -- public API ----------------------------------------------------------
     @property
@@ -101,13 +88,11 @@ class Resource:
         """Number of waiting requests."""
         return len(self._waiters)
 
-    def request(self, priority: float = 0.0, preempt: bool = False) -> Request:
+    def request(self, priority: float = 0.0) -> Request:
         """Claim the resource; the returned event triggers when granted."""
-        req = Request(self, priority=priority, preempt=preempt)
+        req = Request(self, priority=priority)
         self._seq += 1
         if len(self.users) < self.capacity:
-            self._grant(req)
-        elif preempt and self._try_preempt(req):
             self._grant(req)
         else:
             heapq.heappush(self._waiters, (req._sort_key(self._seq), req))
@@ -121,7 +106,6 @@ class Resource:
         """
         if request in self.users:
             self.users.remove(request)
-            self._account_busy()
             self._wake()
         else:
             # Cancel if still waiting. Removing the tail leaves the heap
@@ -137,46 +121,15 @@ class Resource:
                         heapq.heapify(self._waiters)
                     break
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of [since, now] the resource spent non-idle."""
-        span = self.env.now - since
-        if span <= 0:
-            return 0.0
-        busy = self._busy_time
-        if self._busy_since is not None:
-            busy += self.env.now - self._busy_since
-        return min(1.0, busy / span)
-
     # -- internals -------------------------------------------------------------
     def _grant(self, req: Request) -> None:
         self.users.append(req)
-        req.usage_since = self.env.now
-        if self._busy_since is None:
-            self._busy_since = self.env.now
         req.succeed()
-
-    def _account_busy(self) -> None:
-        if not self.users and self._busy_since is not None:
-            self._busy_time += self.env.now - self._busy_since
-            self._busy_since = None
 
     def _wake(self) -> None:
         while self._waiters and len(self.users) < self.capacity:
             _key, req = heapq.heappop(self._waiters)
             self._grant(req)
-
-    def _try_preempt(self, req: Request) -> bool:
-        """Evict the worst current user if *req* outranks it."""
-        victim = max(self.users, key=lambda u: (u.priority, u.time))
-        if (victim.priority, victim.time) <= (req.priority, req.time):
-            return False
-        self.users.remove(victim)
-        self._account_busy()
-        if victim.process is not None and victim.process.is_alive:
-            victim.process.interrupt(
-                Preempted(by=req.process, usage_since=victim.usage_since or 0.0, resource=self)
-            )
-        return True
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -184,13 +137,6 @@ class Resource:
             f"<{type(self).__name__}{label} {len(self.users)}/{self.capacity} "
             f"queued={len(self._waiters)}>"
         )
-
-
-class PreemptiveResource(Resource):
-    """Resource whose ``request(preempt=True)`` evicts lower-priority users."""
-
-    def request(self, priority: float = 0.0, preempt: bool = True) -> Request:
-        return super().request(priority=priority, preempt=preempt)
 
 
 class StorePut(Event):

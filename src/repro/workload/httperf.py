@@ -7,10 +7,10 @@ connections with a user-specified ceiling on the total number of calls."
 
 :class:`Httperf` reproduces that parameterization: ``connections``
 concurrent open-loop connections, each issuing calls at ``rate_per_s``
-(exponential interarrivals), stopping after ``total_calls``. The
-convenience constructor :meth:`for_target_utilization` picks a rate that
-drives the host CPUs to a requested average utilization — the 45 % and
-60 % levels of Figure 6.
+(exponential interarrivals), stopping after ``total_calls``. Open-loop
+M/M/k sizing, ``rate = target · k / E[service]``, turns a target host CPU
+utilization into a rate; the figure runners size every entry of Figure 6's
+45 % and 60 % load profiles that way.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ class Httperf:
         self.server = server
         self.rate_per_s = rate_per_s
         #: optional piecewise-constant schedule [(start_us, rate_per_s), ...]
-        #: scaling knob: entries are *fractions of rate_per_s* when <= 1.0?
-        #: no — entries are absolute rates; rate_per_s is the fallback
-        #: before the first entry. Used to reproduce Figure 6's ramping
+        #: of absolute aggregate rates; rate_per_s is the fallback before
+        #: the first entry. Used to reproduce Figure 6's ramping
         #: utilization profiles (load applied mid-run, bursting past the
         #: average level, then released).
         self.rate_profile = rate_profile
@@ -69,38 +68,6 @@ class Httperf:
         for i in range(connections):
             env.process(self._connection(i), name=f"httperf.conn{i}")
 
-    @classmethod
-    def for_target_utilization(
-        cls,
-        env: Environment,
-        server: ApacheServer,
-        target_utilization: float,
-        n_cpus: int,
-        **kwargs,
-    ) -> "Httperf":
-        """Pick the aggregate rate that loads *n_cpus* to the target level.
-
-        Open-loop M/M/k sizing: rate = target · k / E[service].
-        """
-        if not 0.0 < target_utilization < 1.0:
-            raise ValueError("target utilization must be in (0, 1)")
-        total_rate = (
-            target_utilization * n_cpus * 1_000_000.0 / server.effective_mean_service_us
-        )
-        return cls(env, server, rate_per_s=total_rate, **kwargs)
-
-    def current_rate(self, now_us: float) -> float:
-        """Aggregate request rate in effect at *now_us*."""
-        if self.rate_profile is None:
-            return self.rate_per_s
-        rate = self.rate_per_s
-        for start, r in self.rate_profile:
-            if now_us >= start:
-                rate = r
-            else:
-                break
-        return rate
-
     def _connection(self, idx: int) -> Generator:
         env = self.env
         gen = self._gens[idx]
@@ -110,8 +77,7 @@ class Httperf:
             yield timeout(self.start_at_us)
         # Piecewise-constant profile, applied with a monotone pointer: the
         # connection's clock only moves forward, so each entry is crossed
-        # once instead of rescanning the schedule per call (current_rate()
-        # stays as the random-access equivalent for external callers).
+        # once instead of rescanning the schedule per call.
         profile = self.rate_profile
         next_entry = 0
         rate = self.rate_per_s

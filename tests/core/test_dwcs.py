@@ -67,6 +67,18 @@ class TestPrecedenceRules:
         # stream creation order breaks the tie
         assert s.schedule(0.0).serviced.stream_id == "first"
 
+    def test_fcfs_ring_keeps_arrival_order(self):
+        s = sched()  # default ring = FCFS
+        s.add_stream(StreamSpec("s1", period_us=1000.0, loss_x=1, loss_y=4))
+        for seq, pts in [(0, 0.0), (1, 99_000.0), (2, 33_000.0)]:
+            s.enqueue(MediaFrame("s1", seq, FrameType.I, 1000, pts_us=pts), 0.0)
+        served = []
+        while s.backlog:
+            d = s.schedule(0.0)
+            if d.serviced:
+                served.append(d.serviced.frame.seqno)
+        assert served == [0, 1, 2]
+
     def test_empty_scheduler_returns_none(self):
         s = sched()
         s.add_stream(StreamSpec("s1", period_us=1000.0, loss_x=1, loss_y=2))

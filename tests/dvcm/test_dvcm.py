@@ -112,18 +112,6 @@ class TestRuntime:
         # 8 header words * 4B + 10000B bulk + reply reads
         assert seg.bytes_transferred >= 10_000 + 32
 
-    def test_execute_local_skips_pci(self, rig):
-        _env, seg, runtime, _api = rig
-        runtime.load_extension(echo_module())
-        assert runtime.execute_local("echo.ping", {"value": 7}) == 7
-        assert seg.bytes_transferred == 0
-
-    def test_execute_local_error_raises(self, rig):
-        _env, _seg, runtime, _api = rig
-        runtime.load_extension(echo_module())
-        with pytest.raises(RuntimeError):
-            runtime.execute_local("echo.fail", {})
-
     def test_concurrent_calls_from_two_apps(self, rig):
         env, _seg, runtime, api = rig
         runtime.load_extension(echo_module())

@@ -1,22 +1,16 @@
-"""VCMPeerDown: typed fail-fast when the peer card or node is gone."""
-
-import pytest
+"""VCMPeerDown: typed fail-fast when the local peer card is gone."""
 
 from repro.dvcm import (
-    DVCMNode,
     ExtensionModule,
     MessageQueuePair,
-    RemoteVCM,
     VCMInterface,
     VCMPeerDown,
     VCMRuntime,
     VCMTimeout,
 )
-from repro.faults import FaultPlane
-from repro.hw import EthernetSwitch, I960RDCard, PCISegment
 from repro.rtos import WindScheduler
 from repro.server import ServerNode
-from repro.sim import Environment, S
+from repro.sim import Environment
 
 
 def echo_module():
@@ -118,85 +112,3 @@ class TestLocalCardPeerDown:
         assert issubclass(VCMPeerDown, VCMError)
         assert not issubclass(VCMPeerDown, VCMTimeout)
 
-
-def counter_extension():
-    mod = ExtensionModule("ctr")
-    state = {"n": 0}
-
-    def bump(payload):
-        state["n"] += payload.get("by", 1)
-        return state["n"]
-
-    mod.provide("bump", bump)
-    return mod
-
-
-def san_rig(env):
-    """Two SAN nodes: node 0 serves the counter, node 1 calls it."""
-    san = EthernetSwitch(env, name="san")
-    nodes = []
-    for idx in range(2):
-        segment = PCISegment(env, f"n{idx}.pci")
-        card = I960RDCard(env, segment, name=f"n{idx}.i2o")
-        san.attach(card.eth_ports[1])
-        vxworks = WindScheduler(env, cpu_spec=card.cpu.spec, name=f"n{idx}.vx")
-        queues = MessageQueuePair(env, segment, name=f"n{idx}.q")
-        runtime = VCMRuntime(env, queues, card.cpu, name=f"n{idx}.vcm")
-        vxworks.spawn("tVCM", runtime.task_body, priority=60)
-        node = DVCMNode(env, runtime, card.eth_ports[1], card.stack)
-        nodes.append((card, runtime, node))
-    nodes[0][1].load_extension(counter_extension())
-    caller = RemoteVCM(env, nodes[1][0].eth_ports[1], nodes[1][0].stack)
-    return nodes, caller
-
-
-class TestRemotePeerDown:
-    def test_partitioned_peer_fails_the_dial_with_peer_down(self):
-        env = Environment()
-        nodes, caller = san_rig(env)
-        server_port = nodes[0][2].san_address
-        plane = FaultPlane(env, seed=3)
-        plane.inject_partition(server_port, 0.0, 600 * S)
-        outcome = []
-
-        def app():
-            try:
-                yield from caller.call(server_port, "ctr.bump")
-            except VCMPeerDown:
-                outcome.append(env.now)
-
-        env.process(app())
-        env.run(until=600 * S)
-        assert len(outcome) == 1
-        assert caller.peer_down_errors == 1
-
-    def test_partition_mid_call_aborts_then_recovery_redials(self):
-        env = Environment()
-        nodes, caller = san_rig(env)
-        server_port = nodes[0][2].san_address
-        plane = FaultPlane(env, seed=3)
-        # cut the server's SAN port after the first call completes; the
-        # window is long enough for go-back-N to exhaust its retry budget
-        plane.inject_partition(server_port, 2 * S, 400 * S)
-        log = []
-
-        def app():
-            got = yield from caller.call(server_port, "ctr.bump")
-            log.append(("ok", got))
-            yield env.timeout(3 * S)  # now inside the partition window
-            try:
-                yield from caller.call(server_port, "ctr.bump")
-            except VCMPeerDown:
-                log.append(("down", env.now))
-            # wait out the partition: the broken connection was discarded,
-            # so the next call re-dials and the peer serves again
-            while env.now < 401 * S:
-                yield env.timeout(1 * S)
-            got = yield from caller.call(server_port, "ctr.bump")
-            log.append(("ok", got))
-
-        env.process(app())
-        env.run(until=500 * S)
-        assert [tag for tag, _ in log] == ["ok", "down", "ok"]
-        assert log[0][1] == 1 and log[2][1] == 2  # the aborted bump never ran
-        assert caller.peer_down_errors == 1

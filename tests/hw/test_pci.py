@@ -128,16 +128,6 @@ class TestTrafficAccounting:
         with pytest.raises(ValueError):
             run_process(env, dma.host_transfer(bridge, 100))
 
-    def test_utilization_reporting(self, env, segment):
-        def load():
-            yield from segment.transfer(66270)  # ~1000us
-            yield env.timeout(1000.0)  # idle
-
-        env.process(load())
-        env.run()
-        assert 0.4 < segment.utilization() < 0.6
-
-
 class TestAttachment:
     def test_attach_and_duplicate_rejected(self, env, segment):
         dev = object()

@@ -62,9 +62,8 @@ def stack():
     # host software: Solaris, web load, and the application thread
     host_os = SolarisHostOS(env, n_cpus=2)
     web = ApacheServer(env, host_os, rng=RandomStreams(9))
-    Httperf.for_target_utilization(
-        env, web, 0.70, n_cpus=2, total_calls=10**6, rng=RandomStreams(10)
-    )
+    rate = 0.70 * host_os.n_cpus * 1e6 / web.effective_mean_service_us
+    Httperf(env, web, rate_per_s=rate, total_calls=10**6, rng=RandomStreams(10))
     api = VCMInterface(env, queues, name="media-app")
     enc = MPEGEncoder(bitrate_bps=400_000.0, fps=10.0, rng=RandomStreams(11))
     movie = enc.encode("vod0", n_frames=120)

@@ -196,7 +196,7 @@ def test_no_preemption_in_time_sharing_class(env):
     assert finish["second"] == pytest.approx(5_100.0)
 
 
-def test_pbind_restricts_task_to_cpu(env):
+def test_bound_cpu_restricts_task_to_cpu(env):
     os = SolarisHostOS(env, n_cpus=2, cpu_spec=FREE_SWITCH)
     finish = {}
 
@@ -211,15 +211,12 @@ def test_pbind_restricts_task_to_cpu(env):
     assert finish["c"] == pytest.approx(3000.0)
 
 
-def test_pbind_validates_cpu_index(env):
+def test_spawn_validates_bound_cpu(env):
     os = SolarisHostOS(env, n_cpus=2, cpu_spec=FREE_SWITCH)
 
     def body(task):
         yield task.compute(1.0)
 
-    t = os.spawn("t", body)
-    with pytest.raises(ValueError):
-        os.pbind(t, 5)
     with pytest.raises(ValueError):
         os.spawn("u", body, bound_cpu=9)
 
@@ -261,12 +258,3 @@ def test_system_tasks_light_load(env):
     # ~2 tasks * 100us per 50ms = ~0.4% utilization
     assert os.cumulative_busy_us() < 10_000.0
 
-
-def test_daemons_produce_background_load(env):
-    os = SolarisHostOS(env, n_cpus=2, cpu_spec=FREE_SWITCH)
-    os.spawn_daemons()
-    env.run(until=2_000_000.0)
-    busy = os.cumulative_busy_us()
-    assert busy > 0.0
-    # a few percent at most
-    assert busy / (2 * 2_000_000.0) < 0.10

@@ -58,22 +58,6 @@ class TestServerNode:
         assert nic in node.segments[1].devices
         assert ctrl in node.segments[0].devices
 
-    def test_offline_cpus(self, env):
-        node = ServerNode(env)
-        node.set_online_cpus(2)
-        assert node.host_os.n_cpus == 2
-
-    def test_offline_after_spawn_rejected(self, env):
-        node = ServerNode(env)
-
-        def body(task):
-            yield task.compute(1.0)
-
-        node.host_os.spawn("t", body)
-        with pytest.raises(RuntimeError):
-            node.set_online_cpus(1)
-
-
 class TestPaths:
     FRAME = 1000
 

@@ -53,26 +53,6 @@ class TestTimeSeries:
             ts.record(float(t), val)
         assert ts.maximum() == 9.0
 
-    def test_resample_bins_average(self):
-        ts = TimeSeries()
-        # two samples in bin [0,10), one in [10,20)
-        ts.record(1.0, 2.0)
-        ts.record(2.0, 4.0)
-        ts.record(11.0, 10.0)
-        centers, means = ts.resample(10.0, start=0.0, end=20.0)
-        assert list(centers) == [5.0, 15.0]
-        assert means[0] == pytest.approx(3.0)
-        assert means[1] == pytest.approx(10.0)
-
-    def test_resample_empty_bin_is_nan(self):
-        ts = TimeSeries()
-        ts.record(1.0, 1.0)
-        _c, means = ts.resample(10.0, start=0.0, end=30.0)
-        assert not np.isnan(means[0])
-        assert np.isnan(means[1])
-        assert np.isnan(means[2])
-
-
 class TestTallyStats:
     def test_empty_mean_is_nan(self):
         assert math.isnan(TallyStats().mean)

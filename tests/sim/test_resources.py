@@ -1,16 +1,8 @@
-"""Resource/Store semantics: granting, queueing, priorities, preemption."""
+"""Resource/Store semantics: granting, queueing, priorities."""
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    Preempted,
-    PreemptiveResource,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 @pytest.fixture
@@ -100,23 +92,6 @@ class TestResource:
         reqs = [res.request() for _ in range(4)]
         assert [r.triggered for r in reqs] == [True, True, True, False]
 
-    def test_utilization_accounting(self, env):
-        res = Resource(env, capacity=1)
-
-        def user():
-            with res.request() as req:
-                yield req
-                yield env.timeout(30.0)
-
-        def sleeper():
-            yield env.timeout(100.0)
-
-        env.process(user())
-        env.process(sleeper())
-        env.run()
-        assert env.now == 100.0
-        assert res.utilization() == pytest.approx(30.0 / 100.0, rel=0.01)
-
     def test_context_manager_releases(self, env):
         res = Resource(env, capacity=1)
 
@@ -128,44 +103,6 @@ class TestResource:
         env.process(user())
         env.run()
         assert res.count == 0
-
-
-class TestPreemption:
-    def test_preempt_evicts_lower_priority(self, env):
-        res = PreemptiveResource(env, capacity=1)
-        log = []
-
-        def low():
-            with res.request(priority=10) as req:
-                yield req
-                try:
-                    yield env.timeout(100.0)
-                    log.append(("low-done", env.now))
-                except Interrupt as i:
-                    assert isinstance(i.cause, Preempted)
-                    assert i.cause.resource is res
-                    log.append(("low-preempted", env.now))
-
-        def high():
-            yield env.timeout(10.0)
-            with res.request(priority=1) as req:
-                yield req
-                log.append(("high-acquired", env.now))
-                yield env.timeout(5.0)
-
-        env.process(low())
-        env.process(high())
-        env.run()
-        assert ("low-preempted", 10.0) in log
-        assert ("high-acquired", 10.0) in log
-
-    def test_no_preemption_of_equal_or_higher_priority(self, env):
-        res = PreemptiveResource(env, capacity=1)
-        held = res.request(priority=1)
-        contender = res.request(priority=1, preempt=True)
-        assert held.triggered
-        assert not contender.triggered
-        assert res.queue_length == 1
 
 
 class TestStore:

@@ -36,18 +36,6 @@ class TestRateProfiles:
                 rate_profile=[(10.0, 1.0), (5.0, 2.0)],  # unsorted
             )
 
-    def test_current_rate_piecewise(self, env, server):
-        perf = Httperf(
-            env,
-            server,
-            rate_per_s=5.0,
-            rate_profile=[(1 * S, 100.0), (2 * S, 0.0), (3 * S, 50.0)],
-        )
-        assert perf.current_rate(0.0) == 5.0  # fallback before first entry
-        assert perf.current_rate(1.5 * S) == 100.0
-        assert perf.current_rate(2.5 * S) == 0.0
-        assert perf.current_rate(10 * S) == 50.0
-
     def test_zero_rate_phase_issues_nothing(self, env, server):
         perf = Httperf(
             env,

@@ -101,19 +101,14 @@ class TestUtilizationTargets:
     @pytest.mark.parametrize("target", [0.45, 0.60])
     def test_target_utilization_reached(self, env, host, target):
         server = ApacheServer(env, host, rng=RandomStreams(3))
-        Httperf.for_target_utilization(
-            env, server, target, n_cpus=2, total_calls=10**6, rng=RandomStreams(4)
-        )
+        # open-loop M/M/k sizing, as the figure runners do
+        rate = target * host.n_cpus * 1e6 / server.effective_mean_service_us
+        Httperf(env, server, rate_per_s=rate, total_calls=10**6, rng=RandomStreams(4))
         meter = Perfmeter(env, host, period_us=500_000.0)
         env.run(until=30_000_000.0)  # 30s
         # skip the 2s ramp; context-switch overhead adds a little on top
         avg = meter.average(start=2_000_000.0) / 100.0
         assert avg == pytest.approx(target, abs=0.10)
-
-    def test_invalid_target(self, env, host):
-        server = ApacheServer(env, host)
-        with pytest.raises(ValueError):
-            Httperf.for_target_utilization(env, server, 1.5, n_cpus=2)
 
 
 class TestPerfmeter:
