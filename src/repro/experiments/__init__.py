@@ -1,7 +1,8 @@
 """Experiment harness: one runner per table and figure of the paper.
 
 ``REGISTRY`` maps experiment ids to zero-argument callables returning
-:class:`~repro.experiments.report.ExperimentResult`. ``run_all`` executes
+:class:`~repro.experiments.report.ExperimentResult`, and ``CAMPAIGNS``
+maps the scenario-driven ids to their scenario tables. ``run_all`` executes
 everything (the figures are full 100-simulated-second runs; expect minutes
 of wall time).
 """
@@ -9,6 +10,9 @@ of wall time).
 from __future__ import annotations
 
 from typing import Callable
+
+from repro.cluster import CLUSTER_SCENARIOS
+from repro.faults import FAILOVER_SCENARIOS, SCENARIOS
 
 from .chaos import chaos, run_chaos_scenario
 from .cluster import cluster, run_cluster_scenario
@@ -66,6 +70,7 @@ __all__ = [
     "Row",
     "Series",
     "REGISTRY",
+    "CAMPAIGNS",
     "run_all",
 ]
 
@@ -93,6 +98,14 @@ REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
     "failover": failover,
     "observe": observe,
     "pdescluster": pdescluster,
+}
+
+#: the scenario-driven experiment ids and their scenario registries:
+#: ``--list ID``, the ``--scenarios`` check and ``sweep scenarios`` read it
+CAMPAIGNS = {
+    "chaos": SCENARIOS,
+    "failover": FAILOVER_SCENARIOS,
+    "cluster": CLUSTER_SCENARIOS,
 }
 
 

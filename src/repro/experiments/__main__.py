@@ -15,27 +15,11 @@ import inspect
 import sys
 from pathlib import Path
 
-from . import REGISTRY
+from repro.faults.scenarios import resolve_scenario
+from repro.net.transport import resolve_transport
+
+from . import CAMPAIGNS, REGISTRY
 from .report import ExperimentResult
-
-
-def _scenario_registry(experiment: str):
-    """The scenario registry behind a scenario-driven experiment id
-    (None for experiments that are not scenario-driven). Imports lazily —
-    ``--list`` must stay cheap."""
-    if experiment == "chaos":
-        from repro.faults.scenarios import SCENARIOS
-
-        return SCENARIOS
-    if experiment == "failover":
-        from repro.faults.scenarios import FAILOVER_SCENARIOS
-
-        return FAILOVER_SCENARIOS
-    if experiment == "cluster":
-        from repro.cluster import CLUSTER_SCENARIOS
-
-        return CLUSTER_SCENARIOS
-    return None
 
 
 def _write_artifacts(result: ExperimentResult, directory: Path, name: str) -> None:
@@ -119,12 +103,11 @@ def main(argv: list[str] | None = None) -> int:
             if unknown:
                 parser.error(f"unknown experiment(s): {', '.join(unknown)}")
             for name in args.experiments:
-                registry = _scenario_registry(name)
-                if registry is None:
+                if name not in CAMPAIGNS:
                     print(f"{name}: (not scenario-driven)")
                 else:
                     print(f"{name}:")
-                    for scenario in registry.values():
+                    for scenario in CAMPAIGNS[name].values():
                         print(f"  {scenario.name:14s} {scenario.description}")
         else:
             for name in REGISTRY:
@@ -147,32 +130,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     transport_names = None
     if args.transport is not None:
-        from repro.net.transport import resolve_transport
-
         transport_names = [t for t in args.transport.split(",") if t]
         try:
             for tname in transport_names:
                 resolve_transport(tname)
         except ValueError as exc:
             parser.error(str(exc))
+    # every flag is checked against every named id before any of them runs
+    planned = []
     for name in names:
-        runner = REGISTRY[name]
-        params = inspect.signature(runner).parameters
+        params = inspect.signature(REGISTRY[name]).parameters
         kwargs = {}
         if args.seed is not None and "seed" in params:
             kwargs["seed"] = args.seed
         if scenario_names is not None:
-            if "scenarios" not in params:
+            if name not in CAMPAIGNS:
                 parser.error(f"experiment {name!r} does not take --scenarios")
-            registry = _scenario_registry(name)
-            if registry is not None:
-                from repro.faults.scenarios import resolve_scenario
-
-                try:
-                    for scenario in scenario_names:
-                        resolve_scenario(scenario, registry, kind=name)
-                except ValueError as exc:
-                    parser.error(str(exc))
+            try:
+                for scenario in scenario_names:
+                    resolve_scenario(scenario, CAMPAIGNS[name], kind=name)
+            except ValueError as exc:
+                parser.error(str(exc))
             kwargs["scenarios"] = scenario_names
         if transport_names is not None:
             if "transports" in params:
@@ -192,7 +170,9 @@ def main(argv: list[str] | None = None) -> int:
                     "only pdescluster does"
                 )
             kwargs["partitions"] = args.partitions
-        result = runner(**kwargs)
+        planned.append((name, kwargs))
+    for name, kwargs in planned:
+        result = REGISTRY[name](**kwargs)
         print(result.render())
         print()
         if args.plots:

@@ -26,6 +26,7 @@ __all__ = [
     "hardware_queue_factory",
     "figure_stream_specs",
     "figure_mpeg_file",
+    "run_frames",
     "LOAD_PROFILES",
     "SIM_DURATION_US",
     "MPEG_FILE_BYTES",
@@ -107,6 +108,12 @@ def figure_stream_specs() -> list[StreamSpec]:
 def figure_mpeg_file(stream_id: str, seed: int = 0, n_frames: int = 2000) -> "MPEGEncoder":
     enc = MPEGEncoder(bitrate_bps=250_000.0, fps=3.0, rng=RandomStreams(seed))
     return enc.encode(stream_id, n_frames)
+
+
+def run_frames(duration_us: float) -> int:
+    """Frames per stream file for a run of ``duration_us``: one per 280 ms
+    of run plus 64 spare, more than the producer injects before the end."""
+    return int(duration_us / 280_000.0) + 64
 
 
 def _profile(points: list[tuple[float, float]]):

@@ -212,22 +212,8 @@ def chaos(
         result.add_row(f"{name}: faults injected", float(cr.injected))
         books = cr.run.service.books
         if books is not None:
-            result.add_row(
-                f"{name}: transport retransmissions",
-                float(books.retransmissions),
-            )
-            result.add_row(
-                f"{name}: transport records lost", float(len(books.lost_ids))
-            )
-            result.add_row(
-                f"{name}: transport duplicate deliveries",
-                float(books.duplicate_deliveries),
-            )
-            result.add_row(
-                f"{name}: transport records unaccounted",
-                float(len(books.unaccounted())),
-                note="MUST be 0: every sent record is delivered, lost, or in flight",
-            )
+            for label, value, note in books.rows():
+                result.add_row(f"{name}: transport {label}", value, note=note)
     if transport != "udp":
         result.notes.append(f"media wire path: transport={transport}")
     result.notes.append(

@@ -22,8 +22,8 @@ placement-policy comparison table shows how the three policies spread
 the same stream population.
 
 Runs are deterministic given a seed — byte-identical rows across
-repeats and across ``--jobs`` fan-out — which is what the CI
-``cluster-smoke`` job diffs.
+repeats and across ``--jobs`` fan-out — which is what CI's
+``determinism`` job diffs.
 
     python -m repro.experiments cluster --seed 42
 """
@@ -62,8 +62,9 @@ from .calibration import (
     PREBUFFER_FRAMES,
     SIM_DURATION_US,
     figure_mpeg_file,
+    run_frames,
 )
-from .figures import STREAM_SERVICE_TIME_US, run_loading_experiment
+from .figures import STREAM_SERVICE_TIME_US, add_control_rows
 from .report import ExperimentResult
 
 __all__ = ["ClusterRun", "run_cluster_scenario", "cluster", "cluster_stream_specs"]
@@ -148,7 +149,6 @@ def run_cluster_scenario(
     duration_us: float = SIM_DURATION_US,
     seed: int = 42,
     n_nodes: int = 3,
-    policy: str = "least-loaded",
     instrument: bool = True,
 ) -> ClusterRun:
     """Replay one node-scale chaos campaign against a full cluster.
@@ -168,11 +168,11 @@ def run_cluster_scenario(
             env, capacity=TRACE_CAPACITY, categories=CLUSTER_CATEGORIES
         ).install()
     rng = RandomStreams(seed + 3000)
-    plane = ClusterPlane(env, n_nodes=n_nodes, policy=policy, rng=rng)
+    plane = ClusterPlane(env, n_nodes=n_nodes, rng=rng)
     fault_plane = FaultPlane(env, seed=seed + 2000)
     specs = cluster_stream_specs(n_nodes)
     late = _late_wave_specs()
-    n_frames = max(64, int(duration_us / 280_000.0) + 64)
+    n_frames = run_frames(duration_us)
     files = {
         spec.stream_id: figure_mpeg_file(spec.stream_id, seed=seed + i, n_frames=n_frames)
         for i, spec in enumerate(specs + late)
@@ -249,27 +249,21 @@ def cluster(
     seed: int = 42,
     scenarios: Optional[list[str]] = None,
     n_nodes: int = 3,
-    policy: str = "least-loaded",
     out_dir: Optional[str] = DEFAULT_OUT_DIR,
 ) -> ExperimentResult:
     """Run every cluster campaign and tabulate recovery + accounting."""
     result = ExperimentResult(
         exp_id="Cluster",
         title=(
-            f"cluster front door: {n_nodes} nodes, policy {policy}, "
+            f"cluster front door: {n_nodes} nodes, policy least-loaded, "
             f"node-loss chaos (seed {seed})"
         ),
     )
 
     # -- control: the single-node Figure 9 path, untouched ------------------
-    control = run_loading_experiment("ni", "none", duration_us=duration_us, seed=seed)
-    for sid in sorted(control.service.engine.scheduler.queues):
-        result.add_row(
-            f"control: {sid} settled bandwidth",
-            control.settled_bandwidth(sid),
-            unit="bps",
-            note="plain single-node Figure 9 run (per-node reference)",
-        )
+    add_control_rows(
+        result, duration_us, seed, "plain single-node Figure 9 run (per-node reference)"
+    )
 
     _policy_comparison_rows(result, n_nodes)
 
@@ -277,7 +271,7 @@ def cluster(
     runs: list[ClusterRun] = []
     for name in names:
         run = run_cluster_scenario(
-            name, duration_us=duration_us, seed=seed, n_nodes=n_nodes, policy=policy
+            name, duration_us=duration_us, seed=seed, n_nodes=n_nodes
         )
         runs.append(run)
         fd = run.frontdoor

@@ -38,14 +38,8 @@ from repro.server.failover import HAStreamingService
 from repro.server.node import ServerNode
 from repro.sim import Environment
 
-from .calibration import (
-    NI_INJECT_GAP_US,
-    PREBUFFER_FRAMES,
-    SIM_DURATION_US,
-    figure_mpeg_file,
-    figure_stream_specs,
-)
-from .figures import STREAM_SERVICE_TIME_US, run_loading_experiment
+from .calibration import SIM_DURATION_US
+from .figures import add_control_rows, start_figure_streams
 from .report import ExperimentResult
 
 __all__ = ["FailoverRun", "run_failover_scenario", "failover"]
@@ -118,7 +112,6 @@ def run_failover_scenario(
     name: str,
     duration_us: float = SIM_DURATION_US,
     seed: int = 42,
-    n_cards: int = 2,
     transport: str = "udp",
 ) -> FailoverRun:
     """Replay one failover campaign against the HA service."""
@@ -128,19 +121,8 @@ def run_failover_scenario(
     # second scheduler card as the failover target.
     node = ServerNode(env, n_cpus=1, n_pci_segments=2)
     switch = EthernetSwitch(env)
-    service = HAStreamingService(
-        env, node, switch, n_cards=n_cards, transport=transport
-    )
-    n_frames = max(64, int(duration_us / 280_000.0) + 64)
-    for i, spec in enumerate(figure_stream_specs()):
-        service.attach_client(f"client_{spec.stream_id}")
-        service.open_stream(
-            spec, f"client_{spec.stream_id}", service_time_us=STREAM_SERVICE_TIME_US
-        )
-        file = figure_mpeg_file(spec.stream_id, seed=seed + i, n_frames=n_frames)
-        service.start_producer(
-            file, inject_gap_us=NI_INJECT_GAP_US, prebuffer_frames=PREBUFFER_FRAMES
-        )
+    service = HAStreamingService(env, node, switch, transport=transport)
+    start_figure_streams(service, "ni", seed, duration_us)
     plane = FaultPlane(env, seed=seed + 2000)
     scenario.install(plane, service, duration_us)
     env.run(until=duration_us)
@@ -162,16 +144,10 @@ def failover(
     )
 
     # -- control: the single-card Figure 9 path, untouched ------------------
-    control = run_loading_experiment(
-        "ni", "none", duration_us=duration_us, seed=seed, transport=transport
+    add_control_rows(
+        result, duration_us, seed, "plain Figure 9 run (no HA plane, no faults)",
+        transport=transport,
     )
-    for sid in sorted(control.service.engine.scheduler.queues):
-        result.add_row(
-            f"control: {sid} settled bandwidth",
-            control.settled_bandwidth(sid),
-            unit="bps",
-            note="plain Figure 9 run (no HA plane, no faults)",
-        )
 
     names = scenarios if scenarios is not None else list(FAILOVER_SCENARIOS)
     slo_reports = []
@@ -210,18 +186,8 @@ def failover(
         )
         books = fr.service.books
         if books is not None:
-            result.add_row(
-                f"{name}: transport retransmissions",
-                float(books.retransmissions),
-            )
-            result.add_row(
-                f"{name}: transport records lost", float(len(books.lost_ids))
-            )
-            result.add_row(
-                f"{name}: transport records unaccounted",
-                float(len(books.unaccounted())),
-                note="MUST be 0: every sent record is delivered, lost, or in flight",
-            )
+            for label, value, note in books.rows():
+                result.add_row(f"{name}: transport {label}", value, note=note)
     if transport != "udp":
         result.notes.append(f"media wire path: transport={transport}")
     result.notes.append(

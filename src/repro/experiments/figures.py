@@ -38,6 +38,7 @@ from .calibration import (
     SIM_DURATION_US,
     figure_mpeg_file,
     figure_stream_specs,
+    run_frames,
 )
 from .report import ExperimentResult, Series
 
@@ -45,7 +46,9 @@ __all__ = [
     "LoadedRun",
     "STREAM_SERVICE_TIME_US",
     "FIGURE_LEVELS",
+    "start_figure_streams",
     "run_loading_experiment",
+    "add_control_rows",
     "figure6",
     "figure7",
     "figure8",
@@ -108,12 +111,31 @@ class LoadedRun:
         )
 
 
+def start_figure_streams(service, kind: str, seed: int, duration_us: float) -> None:
+    """Attach, open and feed streams s1/s2 on ``service`` as Figures 7-10
+    do: one client each, an MPEG file seeded ``seed + i``, and the
+    producer pacing of ``kind`` ('host' or 'ni')."""
+    if kind == "host":
+        pacing = {
+            "inject_gap_us": HOST_INJECT_GAP_US,
+            "segmentation_us": HOST_SEGMENTATION_US,
+        }
+    else:
+        pacing = {"inject_gap_us": NI_INJECT_GAP_US}
+    n_frames = run_frames(duration_us)
+    for i, spec in enumerate(figure_stream_specs()):
+        client = f"client_{spec.stream_id}"
+        service.attach_client(client)
+        service.open_stream(spec, client, service_time_us=STREAM_SERVICE_TIME_US)
+        file = figure_mpeg_file(spec.stream_id, seed=seed + i, n_frames=n_frames)
+        service.start_producer(file, prebuffer_frames=PREBUFFER_FRAMES, **pacing)
+
+
 def run_loading_experiment(
     kind: str,
     level: str,
     duration_us: float = SIM_DURATION_US,
     seed: int = 0,
-    frames_per_stream: Optional[int] = None,
     chaos: Optional[Callable[..., None]] = None,
     transport: str = "udp",
 ) -> LoadedRun:
@@ -149,30 +171,7 @@ def run_loading_experiment(
             transport=transport,
         )
 
-    n_frames = (
-        frames_per_stream
-        if frames_per_stream is not None
-        else max(64, int(duration_us / 280_000.0) + 64)
-    )
-    for i, spec in enumerate(figure_stream_specs()):
-        service.attach_client(f"client_{spec.stream_id}")
-        service.open_stream(
-            spec, f"client_{spec.stream_id}", service_time_us=STREAM_SERVICE_TIME_US
-        )
-        file = figure_mpeg_file(spec.stream_id, seed=seed + i, n_frames=n_frames)
-        if kind == "host":
-            service.start_producer(
-                file,
-                inject_gap_us=HOST_INJECT_GAP_US,
-                segmentation_us=HOST_SEGMENTATION_US,
-                prebuffer_frames=PREBUFFER_FRAMES,
-            )
-        else:
-            service.start_producer(
-                file,
-                inject_gap_us=NI_INJECT_GAP_US,
-                prebuffer_frames=PREBUFFER_FRAMES,
-            )
+    start_figure_streams(service, kind, seed, duration_us)
 
     profile = LOAD_PROFILES[level]
     if profile:
@@ -202,6 +201,27 @@ def run_loading_experiment(
     return LoadedRun(
         kind=kind, level=level, service=service, meter=meter, duration_us=duration_us
     )
+
+
+def add_control_rows(
+    result: ExperimentResult,
+    duration_us: float,
+    seed: int,
+    note: str,
+    transport: str = "udp",
+) -> None:
+    """Add a campaign's ``control`` block: the plain NI no-load Figure 9
+    run's settled bandwidth per stream, every row carrying ``note``."""
+    control = run_loading_experiment(
+        "ni", "none", duration_us=duration_us, seed=seed, transport=transport
+    )
+    for sid in sorted(control.service.engine.scheduler.queues):
+        result.add_row(
+            f"control: {sid} settled bandwidth",
+            control.settled_bandwidth(sid),
+            unit="bps",
+            note=note,
+        )
 
 
 def figure6(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentResult:

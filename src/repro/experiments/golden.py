@@ -60,6 +60,11 @@ GOLDEN_IDS = (
     "figure8",
     "figure9",
     "figure10",
+    "headline",
+    "ext_stream_scaling",
+    "ext_jitter",
+    "ext_admission",
+    "ext_ni_balance",
     "chaos",
     "cluster",
     "failover",
@@ -76,6 +81,7 @@ GOLDEN_IDS = (
 #: the scaled-down set the tier-1 suite recomputes on every run
 SHORT_IDS = (
     "figure9",
+    "ext_jitter",
     "chaos",
     "failover",
     "cluster",

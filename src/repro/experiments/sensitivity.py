@@ -137,6 +137,7 @@ def mechanism_knockouts(duration_us: float = 60 * S, seed: int = 0) -> Experimen
         PREBUFFER_FRAMES,
         figure_mpeg_file,
         figure_stream_specs,
+        run_frames,
     )
 
     def run(heavy_tail: bool, decayed_priority: bool) -> float:
@@ -146,7 +147,7 @@ def mechanism_knockouts(duration_us: float = 60 * S, seed: int = 0) -> Experimen
         svc = HostStreamingService(
             env, node, switch, priority=120 if decayed_priority else 110
         )
-        n_frames = int(duration_us / 280_000.0) + 64
+        n_frames = run_frames(duration_us)
         for i, spec in enumerate(figure_stream_specs()):
             svc.attach_client(f"c{i}")
             svc.open_stream(spec, f"c{i}")

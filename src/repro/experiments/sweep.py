@@ -1,6 +1,6 @@
 """The sweep CLI: the evaluation matrix on N cores with a result cache.
 
-Three matrix presets, all riding :class:`~repro.parallel.SweepRunner`:
+Five matrix presets, all riding :class:`~repro.parallel.SweepRunner`:
 
 * ``replicate`` (default) — experiments × seeds, merged into mean ± 95 %
   CI rows per cell. ``sweep --jobs $(nproc)`` runs the 4-workload ×
@@ -8,8 +8,11 @@ Three matrix presets, all riding :class:`~repro.parallel.SweepRunner`:
 * ``sensitivity`` — the cost-constant perturbation grid
   (``sens_costs`` × scales) plus the mechanism-knockout runs
   (``sens_knockouts`` × seeds).
-* ``scenarios`` — the chaos and failover campaign matrices, one job per
-  named scenario.
+* ``scenarios`` — the chaos, failover and cluster campaign matrices, one
+  job per named scenario.
+* ``cluster`` — cluster scenarios × node counts (``--nodes``).
+* ``transport`` — the transport comparison per media transport, plus the
+  chaos campaign over each reliable one.
 
 Two artifacts land in ``--out`` (default ``out/sweep/``):
 
@@ -40,6 +43,7 @@ from typing import Optional, Sequence
 
 from repro.parallel import Job, ResultCache, SweepReport, SweepRunner
 
+from . import CAMPAIGNS
 from .report import ExperimentResult
 
 __all__ = [
@@ -115,37 +119,16 @@ def scenario_jobs(
     seed: int = 42, duration_us: Optional[float] = None
 ) -> list[Job]:
     """The chaos + failover + cluster campaigns, one job per scenario."""
-    from repro.cluster import CLUSTER_SCENARIOS
-    from repro.faults import FAILOVER_SCENARIOS, SCENARIOS
-
-    jobs = [
+    return [
         Job(
-            experiment="chaos",
+            experiment=exp,
             seed=seed,
             duration_us=duration_us,
             config={"scenarios": [name]},
         )
-        for name in SCENARIOS
+        for exp, registry in CAMPAIGNS.items()
+        for name in registry
     ]
-    jobs += [
-        Job(
-            experiment="failover",
-            seed=seed,
-            duration_us=duration_us,
-            config={"scenarios": [name]},
-        )
-        for name in FAILOVER_SCENARIOS
-    ]
-    jobs += [
-        Job(
-            experiment="cluster",
-            seed=seed,
-            duration_us=duration_us,
-            config={"scenarios": [name]},
-        )
-        for name in CLUSTER_SCENARIOS
-    ]
-    return jobs
 
 
 def transport_jobs(
@@ -504,14 +487,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.mode == "replicate":
         merged = merge_replicate(report, title)
-    elif args.mode == "sensitivity":
-        merged = merge_matrix(report, "Sweep: sensitivity", title)
-    elif args.mode == "cluster":
-        merged = merge_matrix(report, "Sweep: cluster", title)
-    elif args.mode == "transport":
-        merged = merge_matrix(report, "Sweep: transport", title)
     else:
-        merged = merge_matrix(report, "Sweep: scenarios", title)
+        merged = merge_matrix(report, f"Sweep: {args.mode}", title)
 
     print(merged.render())
     if args.out and args.out != "none":

@@ -17,7 +17,7 @@ the retransmission and zero-leak ledger accounting.
 
 Runs are deterministic given a seed: the whole table is replayed
 byte-identically by ``python -m repro.experiments transport --seed 42``
-(the CI transport-smoke job diffs a double run).
+(CI's ``determinism`` job diffs a double run).
 """
 
 from __future__ import annotations
@@ -80,31 +80,9 @@ def transport(
                 f"{tname}/{kind}: frames delivered",
                 float(_delivered_frames(run)),
             )
-            books = svc.books
-            if books is not None:
-                result.add_row(
-                    f"{tname}/{kind}: records sent", float(len(books.sent_ids))
-                )
-                result.add_row(
-                    f"{tname}/{kind}: retransmissions",
-                    float(books.retransmissions),
-                )
-                result.add_row(
-                    f"{tname}/{kind}: records lost",
-                    float(len(books.lost_ids)),
-                )
-                result.add_row(
-                    f"{tname}/{kind}: duplicate deliveries",
-                    float(books.duplicate_deliveries),
-                )
-                result.add_row(
-                    f"{tname}/{kind}: records unaccounted",
-                    float(len(books.unaccounted())),
-                    note=(
-                        "MUST be 0: every sent record is delivered, lost, "
-                        "or in flight"
-                    ),
-                )
+            if svc.books is not None:
+                for label, value, note in svc.books.rows():
+                    result.add_row(f"{tname}/{kind}: {label}", value, note=note)
         host_frames = _delivered_frames(runs["host"])
         ni_frames = _delivered_frames(runs["ni"])
         result.add_row(

@@ -116,6 +116,18 @@ class MediaTransportBooks:
             for ep in sender.endpoints()
         )
 
+    def rows(self) -> list[tuple[str, float, str]]:
+        """Uniform (label, value, note) ledger rows for experiment reports;
+        the last is the zero-leak audit."""
+        return [
+            ("records sent", float(len(self.sent_ids)), ""),
+            ("retransmissions", float(self.retransmissions), ""),
+            ("records lost", float(len(self.lost_ids)), ""),
+            ("duplicate deliveries", float(self.duplicate_deliveries), ""),
+            ("records unaccounted", float(len(self.unaccounted())),
+             "MUST be 0: every sent record is delivered, lost, or in flight"),
+        ]
+
     def __repr__(self) -> str:
         return (
             f"<MediaTransportBooks sent={len(self.sent_ids)} "

@@ -10,7 +10,7 @@ unit is already µs).
 Everything here serializes with ``sort_keys=True`` and deterministic
 track-id assignment (first appearance in the event ring), so two
 same-seed runs produce byte-identical artifacts — the property the CI
-observe smoke job diffs.
+``determinism`` job diffs.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Labels are plain keyword arguments (``registry.count("nic.crashes",
 card="rd0")``), so call sites stay one-liners; a repeated call finds its
 series with one dict lookup keyed ``(name, *labels.items())``. Snapshots
 are plain nested dicts with deterministic ordering — same run, same seed,
-byte-identical JSON — which is what the CI determinism smoke diffs.
+byte-identical JSON — which is what the CI ``determinism`` job diffs.
 """
 
 from __future__ import annotations

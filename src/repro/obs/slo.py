@@ -16,7 +16,7 @@ budget). :func:`evaluate` runs a rule set against an
 :class:`SLOContext` — a metrics registry, an optional tracer, and any
 extra values the runner supplies — and returns an :class:`SLOReport`
 whose rendering is byte-deterministic (the ``SLO_report`` table the CI
-``slo-smoke`` job double-runs and diffs).
+``determinism`` job double-runs and diffs).
 
 Verdicts:
 

@@ -284,9 +284,11 @@ def pdescluster_specs(
     per node in the late wave — the same population shape the cluster
     experiment admits, here crossing a partition seam.
     """
+    from repro.experiments.calibration import run_frames
+
     if n_nodes < 1:
         raise ValueError("pdescluster needs at least one node partition")
-    n_frames = max(64, int(duration_us / 280_000.0) + 64)
+    n_frames = run_frames(duration_us)
 
     def admit(node: int, sid: str, i: int) -> dict:
         return {

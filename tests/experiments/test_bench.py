@@ -1,9 +1,9 @@
 """Partition bench logic, CLI surface and checked-in report.
 
-The full-duration timed path is exercised by CI's pdes-smoke job; here
-we pin the critical-path arithmetic, that the verdict is the measured
-speedup, which options the CLI accepts, and the shape of the report it
-writes.
+The timed path is exercised by CI's ``gates`` job (``bench --quick
+--partitions 2``); here we pin the critical-path arithmetic, that the
+verdict is the measured speedup, which options the CLI accepts, and the
+shape of the report it writes.
 """
 
 import json

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.experiments import REGISTRY
+from repro.experiments import CAMPAIGNS, REGISTRY
 from repro.experiments.__main__ import main
 
 
@@ -54,7 +54,7 @@ class TestPartitionsFlag:
         # block toggle would be a runner option with no caller
         assert set().union(*params.values()) == {
             "duration_us", "kinds", "n_nodes", "out_dir", "partitions",
-            "policy", "scale", "scenarios", "seed", "service_time_us",
+            "scale", "scenarios", "seed", "service_time_us",
             "stream_counts", "timing_sink", "transfers", "transport",
             "transports", "utilization_bound",
         }
@@ -64,6 +64,32 @@ class TestPartitionsFlag:
             main(["table5", "--partitions", "2"])
         err = capsys.readouterr().err
         assert "'table5' does not take --partitions; only pdescluster does" in err
+
+
+class TestFlagsCheckedUpFront:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "table5", "--scenarios", "baseline"],
+            ["chaos", "table5", "--transport", "ttp"],
+            ["pdescluster", "table5", "--partitions", "2"],
+        ],
+        ids=["scenarios", "transport", "partitions"],
+    )
+    def test_bad_flag_stops_the_cli_before_any_experiment_runs(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'table5' does not take {argv[2]}" in captured.err
+
+    def test_campaigns_are_the_runners_that_take_scenarios(self):
+        takes = [
+            name
+            for name, runner in REGISTRY.items()
+            if "scenarios" in inspect.signature(runner).parameters
+        ]
+        assert sorted(takes) == sorted(CAMPAIGNS)
 
 
 class TestTransportFlag:

@@ -2,8 +2,8 @@
 
 The kernel fast-path work claims bit-identical behaviour; these tests hold
 it to that. The ``short`` digest set (every experiment in
-``golden.SHORT_IDS`` — figure9, the chaos/failover/cluster/observe
-campaigns, both sensitivity runners, transport, pdescluster — at 10
+``golden.SHORT_IDS`` — figure9, ext_jitter, the chaos/failover/cluster/
+observe campaigns, both sensitivity runners, transport, pdescluster — at 10
 simulated seconds, seed 42) is *recomputed on every tier-1 run* and
 compared byte-for-byte against the checked-in ``golden_digests.json``. The
 ``full`` set is too slow for tier-1 — CI verifies it with
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import golden
+from repro.experiments import REGISTRY, golden
 from repro.sim import Environment
 from repro.sim.trace import Tracer
 
@@ -49,6 +49,9 @@ class TestGoldenFile:
         goldens = golden.load_goldens()
         assert set(goldens["full"]["digests"]) == set(golden.GOLDEN_IDS)
         assert goldens["full"]["seed"] == 42
+
+    def test_every_registry_id_is_pinned_at_full_duration(self):
+        assert set(golden.GOLDEN_IDS) == set(REGISTRY)
 
     def test_digests_are_sha256_hex(self):
         goldens = golden.load_goldens()

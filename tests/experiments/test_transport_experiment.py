@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.experiments import REGISTRY
+from repro.experiments import REGISTRY, chaos, failover
 from repro.experiments import golden
 from repro.experiments.sweep import transport_jobs
 from repro.experiments.transport import TRANSPORT_LOAD_LEVEL, transport
+from repro.net.transport import MediaTransportBooks
 
 SHORT_US = 3_000_000.0
 
@@ -45,6 +46,22 @@ class TestRows:
         direct = float(sum(c.total_frames for c in run.service.clients.values()))
         rows = {r.label: r.measured for r in result.rows}
         assert rows["udp/ni: frames delivered"] == direct
+
+
+@pytest.mark.parametrize("runner", [chaos, failover], ids=["chaos", "failover"])
+def test_campaigns_report_the_one_ledger_row_set(runner):
+    """chaos and failover print MediaTransportBooks.rows() under their
+    scenario prefix: every label, in order, and a zero leak audit."""
+    result = runner(
+        duration_us=golden.SHORT_DURATION_US,
+        seed=42,
+        scenarios=["baseline"],
+        transport="ttp",
+    )
+    prefix = "baseline: transport "
+    got = [r.label for r in result.rows if r.label.startswith(prefix)]
+    assert got == [prefix + label for label, _, _ in MediaTransportBooks().rows()]
+    assert result.row(prefix + "records unaccounted").measured == 0.0
 
 
 class TestDeterminism:
