@@ -2,9 +2,7 @@
 
 ``REGISTRY`` maps experiment ids to zero-argument callables returning
 :class:`~repro.experiments.report.ExperimentResult`, and ``CAMPAIGNS``
-maps the scenario-driven ids to their scenario tables. ``run_all`` executes
-everything (the figures are full 100-simulated-second runs; expect minutes
-of wall time).
+maps the scenario-driven ids to their scenario tables.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ __all__ = [
     "Series",
     "REGISTRY",
     "CAMPAIGNS",
-    "run_all",
 ]
 
 REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
@@ -108,14 +105,3 @@ CAMPAIGNS = {
     "cluster": CLUSTER_SCENARIOS,
 }
 
-
-def run_all(verbose: bool = True) -> dict[str, ExperimentResult]:
-    """Run every experiment; returns {id: result}."""
-    results = {}
-    for name, runner in REGISTRY.items():
-        result = runner()
-        results[name] = result
-        if verbose:
-            print(result.render())
-            print()
-    return results

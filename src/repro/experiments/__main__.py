@@ -5,7 +5,7 @@
     python -m repro.experiments --list         # show experiment ids
     python -m repro.experiments figure7 --plots out/   # + ASCII plot files
     python -m repro.experiments bench --partitions 2  # serial vs partitioned wall clock
-    python -m repro.experiments sweep --jobs 4 # parallel sweep + cache
+    python -m repro.experiments sweep --jobs 4 # parallel multi-seed sweep
 """
 
 from __future__ import annotations

@@ -47,12 +47,13 @@ DEFAULT_OUT = _REPO_ROOT / "BENCH_sim.json"
 PARTITION_TARGET_SPEEDUP = 1.3
 
 
-def usable_cores() -> Optional[int]:
+def usable_cores() -> int:
     """Cores this process may run on: the size of its affinity mask,
-    falling back to ``os.cpu_count()`` where the platform has none."""
+    falling back to ``os.cpu_count()`` (or 1) where the platform has
+    none. ``sweep`` and the golden digest sets run this many workers."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count()
+    return os.cpu_count() or 1
 
 
 def critical_path_seconds(timing: dict) -> tuple[float, float]:

@@ -15,6 +15,7 @@ function extracts its series from such runs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -314,7 +315,10 @@ def figure9(duration_us: float = SIM_DURATION_US, seed: int = 0) -> ExperimentRe
     result.add_row("settling bandwidth s1 (60% load)", loaded, "bps", paper=260_000.0)
     result.add_row("settling bandwidth s1 (no load)", unloaded, "bps")
     result.add_row(
-        "loaded/unloaded bandwidth ratio", loaded / unloaded, "", paper=1.0,
+        "loaded/unloaded bandwidth ratio",
+        loaded / unloaded if unloaded else math.nan,
+        "",
+        paper=1.0,
         note="immunity: paper reports NI scheduler 'completely immune'",
     )
     return result

@@ -17,6 +17,9 @@ Two digest sets are kept:
   duration, seed 42. Cheap enough for the tier-1 test suite
   (``tests/experiments/test_golden_digests.py``).
 
+Both sets are computed through :func:`run_cells`, the one fan-out that
+runs registry cells across worker processes (``sweep`` uses it too).
+
 Refreshing after an *intentional* behaviour change::
 
     PYTHONPATH=src python -m repro.experiments.golden --refresh short
@@ -28,8 +31,11 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .report import ExperimentResult
@@ -43,6 +49,7 @@ __all__ = [
     "trace_digest",
     "compute_result",
     "compute_digest",
+    "run_cells",
     "load_goldens",
     "save_goldens",
     "verify",
@@ -69,9 +76,6 @@ GOLDEN_IDS = (
     "cluster",
     "failover",
     "observe",
-    # sensitivity runners are pinned too, so sweeping over them is
-    # cache-safe: a cache entry is only ever as trustworthy as the
-    # digest contract behind the experiment it stores
     "sens_costs",
     "sens_knockouts",
     "transport",
@@ -158,20 +162,33 @@ def compute_result(
     duration_us: Optional[float] = None,
     **overrides,
 ) -> "ExperimentResult":
-    """Run one registered experiment, passing only the kwargs it accepts."""
+    """Run one registered experiment.
+
+    ``seed`` and ``duration_us`` reach the runner only if it takes them.
+    Any other override the runner's signature does not name raises
+    ``ValueError`` with the accepted names spelled out: dropping it would
+    run a different cell than the caller asked for. The one exception is
+    ``out_dir``, dropped for runners that write no artifacts, so digest
+    runs can pass ``out_dir=None`` to every id.
+    """
     from . import REGISTRY
 
     runner = REGISTRY[name]
     params = inspect.signature(runner).parameters
-    kwargs = {}
+    if "out_dir" not in params:
+        overrides.pop("out_dir", None)
+    unknown = sorted(k for k in overrides if k not in params)
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))} for "
+            f"experiment {name!r}; accepted parameters: "
+            f"{', '.join(sorted(params)) or '(none)'}"
+        )
     if "seed" in params:
-        kwargs["seed"] = seed
+        overrides["seed"] = seed
     if duration_us is not None and "duration_us" in params:
-        kwargs["duration_us"] = duration_us
-    for key, value in overrides.items():
-        if key in params:
-            kwargs[key] = value
-    return runner(**kwargs)
+        overrides["duration_us"] = duration_us
+    return runner(**overrides)
 
 
 def compute_digest(
@@ -185,6 +202,39 @@ def compute_digest(
     )
 
 
+def _run_cell(cell: tuple) -> tuple:
+    """One cell of :func:`run_cells`; a raising cell reports, never raises."""
+    name, seed, duration_us, config = cell
+    t0 = time.perf_counter()
+    try:
+        # artifacts stay off disk: a cell's output is its result object
+        result = compute_result(name, seed, duration_us, out_dir=None, **config)
+        error = None
+    except Exception as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - t0
+
+
+def run_cells(cells: Sequence[tuple], workers: int) -> list[tuple]:
+    """Run ``(experiment, seed, duration_us, config)`` cells on *workers*
+    processes; returns ``(result, error, compute_s)`` per cell, in input
+    order.
+
+    ``error`` is ``None`` for a cell that returned and
+    ``"<Type>: <message>"`` for one that raised. With one worker (or
+    one cell) the cells run in this process; otherwise spawn-fresh
+    workers compute them and pickle the results back, which carries
+    every float and float64 array bit for bit, so the digests do not
+    depend on the worker count. A worker process that dies ends the
+    batch with ``BrokenProcessPool``.
+    """
+    workers = min(workers, len(cells))
+    if workers <= 1:
+        return [_run_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_run_cell, cells))
+
+
 def load_goldens() -> dict:
     """The checked-in digest file ({} when absent, e.g. mid-refresh)."""
     if not _GOLDEN_PATH.exists():
@@ -196,50 +246,37 @@ def save_goldens(goldens: dict) -> None:
     _GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
 
 
-def refresh(which: str = "short", verbose: bool = True, jobs: int = 1) -> dict:
-    """Recompute and store one digest set; returns the updated file dict.
+def _compute_set(which: str) -> tuple[Optional[float], dict]:
+    """Recompute one digest set at ``GOLDEN_SEED`` on every usable core;
+    returns ``(duration_us, {id: digest})``."""
+    from .bench import usable_cores
 
-    ``jobs > 1`` fans the recomputation out across worker processes (no
-    cache — a refresh must recompute from scratch). Worker round-trips
-    are digest-faithful by the serialization contract of
-    :mod:`repro.experiments.report`, so the refreshed file is identical
-    whichever worker count produced it.
-    """
-    goldens = load_goldens()
     if which == "short":
         ids, duration = SHORT_IDS, SHORT_DURATION_US
     elif which == "full":
         ids, duration = GOLDEN_IDS, None
     else:
         raise ValueError("which must be 'short' or 'full'")
-    digests = {}
-    if jobs > 1:
-        from repro.parallel import Job, SweepRunner
+    outcomes = run_cells(
+        [(name, GOLDEN_SEED, duration, {}) for name in ids], usable_cores()
+    )
+    failed = [
+        f"{name} ({error})" for name, (_, error, _) in zip(ids, outcomes) if error
+    ]
+    if failed:
+        raise RuntimeError(f"{which} set failed: {', '.join(failed)}")
+    return duration, {
+        name: result_digest(result) for name, (result, _, _) in zip(ids, outcomes)
+    }
 
-        specs = [
-            Job(experiment=name, seed=GOLDEN_SEED, duration_us=duration)
-            for name in ids
-        ]
-        report = SweepRunner(workers=jobs, cache=None).run(specs)
-        failed = [o for o in report.outcomes if not o.ok]
-        if failed:
-            raise RuntimeError(
-                "refresh workers failed: "
-                + ", ".join(f"{o.job.experiment} ({o.error})" for o in failed)
-            )
-        digests = {o.job.experiment: o.result_digest for o in report.outcomes}
-        if verbose:
-            for name in ids:
-                print(f"{which}:{name} = {digests[name]}")
-    else:
-        for name in ids:
-            # artifacts stay off disk during digest runs: the digest covers
-            # the result object, not the exporter side effects
-            digests[name] = compute_digest(
-                name, seed=GOLDEN_SEED, duration_us=duration, out_dir=None
-            )
-            if verbose:
-                print(f"{which}:{name} = {digests[name]}")
+
+def refresh(which: str = "short", verbose: bool = True) -> dict:
+    """Recompute and store one digest set; returns the updated file dict."""
+    duration, digests = _compute_set(which)
+    if verbose:
+        for name, digest in digests.items():
+            print(f"{which}:{name} = {digest}")
+    goldens = load_goldens()
     goldens[which] = {
         "seed": GOLDEN_SEED,
         "duration_us": duration,
@@ -255,19 +292,10 @@ def verify(which: str = "short", verbose: bool = True) -> list[str]:
     Returns the ids whose digests do not match (empty list == verified);
     an id with no pinned digest counts as a mismatch.
     """
-    goldens = load_goldens()
-    if which == "short":
-        ids, duration = SHORT_IDS, SHORT_DURATION_US
-    elif which == "full":
-        ids, duration = GOLDEN_IDS, None
-    else:
-        raise ValueError("which must be 'short' or 'full'")
-    pinned = goldens.get(which, {}).get("digests", {})
+    _, digests = _compute_set(which)
+    pinned = load_goldens().get(which, {}).get("digests", {})
     mismatches = []
-    for name in ids:
-        digest = compute_digest(
-            name, seed=GOLDEN_SEED, duration_us=duration, out_dir=None
-        )
+    for name, digest in digests.items():
         ok = digest == pinned.get(name)
         if not ok:
             mismatches.append(name)
@@ -291,13 +319,9 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
         help="recompute the set and compare against the pinned digests "
         "(exit 1 on any mismatch)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="refresh: worker processes for the recomputation fan-out",
-    )
     args = parser.parse_args()
     if args.refresh:
-        refresh(args.refresh, jobs=args.jobs)
+        refresh(args.refresh)
     else:
         bad = verify(args.verify)
         if bad:

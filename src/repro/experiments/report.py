@@ -1,18 +1,10 @@
-"""Experiment result structures, text rendering, and serialization.
+"""Experiment result structures and text rendering.
 
 Every experiment returns an :class:`ExperimentResult`: a set of rows, each
 pairing a measured value with the paper's reported value (when the paper
 reports one), plus optional time series for figures. ``render()`` prints
 the same rows the paper's table/figure reports, with a paper-vs-measured
 column — the format EXPERIMENTS.md records.
-
-``to_dict``/``from_dict`` give an exact JSON round-trip — Python floats
-survive JSON's shortest-repr encoding bit for bit, and series arrays go
-through ``tolist()``/``asarray`` losslessly — so a result computed in a
-sweep worker process and reloaded from the on-disk cache reproduces the
-same golden digest as the in-process original. That property is what
-lets the parallel sweep engine prove itself bit-identical to serial
-execution.
 """
 
 from __future__ import annotations
@@ -45,25 +37,6 @@ class Row:
             return math.nan
         return self.measured / self.paper
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "measured": self.measured,
-            "unit": self.unit,
-            "paper": self.paper,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Row":
-        return cls(
-            label=d["label"],
-            measured=d["measured"],
-            unit=d.get("unit", ""),
-            paper=d.get("paper"),
-            note=d.get("note", ""),
-        )
-
 
 @dataclass
 class Series:
@@ -80,25 +53,6 @@ class Series:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.shape != self.y.shape:
             raise ValueError("series x and y must have equal length")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Series":
-        return cls(
-            name=d["name"],
-            x=d["x"],
-            y=d["y"],
-            x_label=d.get("x_label", "time (s)"),
-            y_label=d.get("y_label", ""),
-        )
 
 
 @dataclass
@@ -149,28 +103,6 @@ class ExperimentResult:
         if tracer.discarded:
             line += " WARNING: ring evicted events; raise the tracer capacity"
         self.footers.append(line)
-
-    # -- serialization (exact JSON round-trip; see module docstring) ---------
-    def to_dict(self) -> dict:
-        return {
-            "exp_id": self.exp_id,
-            "title": self.title,
-            "rows": [r.to_dict() for r in self.rows],
-            "series": [s.to_dict() for s in self.series],
-            "notes": list(self.notes),
-            "footers": list(self.footers),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentResult":
-        return cls(
-            exp_id=d["exp_id"],
-            title=d["title"],
-            rows=[Row.from_dict(r) for r in d.get("rows", [])],
-            series=[Series.from_dict(s) for s in d.get("series", [])],
-            notes=list(d.get("notes", [])),
-            footers=list(d.get("footers", [])),
-        )
 
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:

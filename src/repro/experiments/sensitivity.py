@@ -44,8 +44,8 @@ def _avg_frame_us(
     # the seed is pinned into the environment's ambient RNG family. The
     # microbench drains deterministic pre-filled rings, so today the run is
     # seed-invariant by construction — but the plumbing is explicit end to
-    # end so sweep cache keys over (experiment, seed) are honest, and any
-    # future stochastic component inherits the pin instead of free-running.
+    # end so a sweep's seed axis reaches the run, and any future
+    # stochastic component inherits the pin instead of free-running.
     env = Environment(seed=seed)
     cpu = CPU(cpu_spec, cache=DataCache(enabled=cache_enabled))
     scheduler = microbench_scheduler(ctx_factory())

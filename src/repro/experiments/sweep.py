@@ -1,6 +1,6 @@
-"""The sweep CLI: the evaluation matrix on N cores with a result cache.
+"""The sweep CLI: the evaluation matrix on N cores.
 
-Five matrix presets, all riding :class:`~repro.parallel.SweepRunner`:
+Five matrix presets, each run through :func:`repro.experiments.golden.run_cells`:
 
 * ``replicate`` (default) — experiments × seeds, merged into mean ± 95 %
   CI rows per cell. ``sweep --jobs $(nproc)`` runs the 4-workload ×
@@ -17,14 +17,14 @@ Five matrix presets, all riding :class:`~repro.parallel.SweepRunner`:
 Two artifacts land in ``--out`` (default ``out/sweep/``):
 
 * ``SWEEP_result.txt`` — the merged :class:`ExperimentResult` rendering
-  plus its golden digest. Deterministic: byte-identical across runs,
-  worker counts, and cache states (CI diffs it).
+  plus its golden digest. Deterministic: byte-identical across runs and
+  worker counts (CI diffs a 1-worker and a 2-worker run).
 * ``SWEEP_report.json`` — execution telemetry (wall clock, per-job
-  compute seconds / peak RSS / cold-import time, cache hit/miss/eviction
-  counts). Volatile by nature; never diffed.
+  compute seconds, the serial estimate and speedup). Volatile by
+  nature; never diffed.
 
-The single summary line printed last (jobs, hits, wall, est. speedup) is
-the CI-log breadcrumb.
+The single summary line printed last (jobs, failures, wall, est.
+speedup) is the CI-log breadcrumb.
 
     python -m repro.experiments sweep --jobs 4
     python -m repro.experiments sweep scenarios --duration 10000000 --jobs 2
@@ -38,15 +38,20 @@ import math
 import os
 import statistics
 import sys
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.parallel import Job, ResultCache, SweepReport, SweepRunner
-
-from . import CAMPAIGNS
+from . import CAMPAIGNS, REGISTRY
+from .bench import usable_cores
+from .golden import result_digest, run_cells
 from .report import ExperimentResult
 
 __all__ = [
+    "Job",
+    "JobOutcome",
+    "SweepReport",
     "DEFAULT_SWEEP_EXPERIMENTS",
     "DEFAULT_SEEDS",
     "DEFAULT_SCALES",
@@ -58,7 +63,6 @@ __all__ = [
     "DEFAULT_NODE_GRID",
     "merge_replicate",
     "merge_matrix",
-    "sweep_metrics_registry",
     "write_sweep_artifacts",
     "main",
 ]
@@ -78,6 +82,77 @@ DEFAULT_NODE_GRID = (2, 3, 4)
 
 #: where the sweep artifacts land unless the caller overrides it
 DEFAULT_OUT_DIR = os.path.join("out", "sweep")
+
+
+# -- cells and outcomes ------------------------------------------------------
+
+
+@dataclass
+class Job:
+    """One cell of a sweep matrix: a ``REGISTRY`` id at one seed, with an
+    optional duration and keyword overrides for its runner (checked by
+    :func:`repro.experiments.golden.compute_result`)."""
+
+    experiment: str
+    seed: int = 42
+    duration_us: Optional[float] = None
+    config: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        """The cell's name in the provenance notes and the report. Part of
+        the merged digest, so its text is fixed."""
+        parts = [self.experiment, f"seed={self.seed}"]
+        if self.duration_us is not None:
+            parts.append(f"T={self.duration_us:g}us")
+        for k in sorted(self.config):
+            parts.append(f"{k}={self.config[k]!r}")
+        return " ".join(parts)
+
+
+@dataclass
+class JobOutcome:
+    """One job's result, or the error it raised."""
+
+    job: Job
+    result: Optional[ExperimentResult]
+    error: Optional[str]
+    compute_s: float
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+@dataclass
+class SweepReport:
+    """Everything one sweep produced, in input job order."""
+
+    outcomes: list[JobOutcome]
+    wall_s: float
+    workers: int
+
+    @property
+    def failed(self) -> list[JobOutcome]:
+        return [o for o in self.outcomes if not o.ok]
+
+    @property
+    def serial_estimate_s(self) -> float:
+        """Sum of per-job compute seconds: what one core would have paid."""
+        return sum(o.compute_s for o in self.outcomes)
+
+    @property
+    def speedup_estimate(self) -> float:
+        return self.serial_estimate_s / self.wall_s if self.wall_s > 0 else 0.0
+
+    def summary_line(self) -> str:
+        """The one-line sweep summary for CI logs."""
+        return (
+            f"sweep: {len(self.outcomes)} jobs ({len(self.failed)} failed) "
+            f"workers={self.workers} wall={self.wall_s:.2f}s "
+            f"serial-est={self.serial_estimate_s:.2f}s "
+            f"speedup-est={self.speedup_estimate:.2f}x"
+        )
 
 
 # -- job matrices ------------------------------------------------------------
@@ -199,7 +274,9 @@ def _provenance_notes(result: ExperimentResult, report: SweepReport) -> None:
     the merged result's own digest covers each cell byte for byte."""
     for o in report.outcomes:
         if o.ok:
-            result.notes.append(f"job {o.job.label}: result digest {o.result_digest}")
+            result.notes.append(
+                f"job {o.job.label}: result digest {result_digest(o.result)}"
+            )
         else:
             result.notes.append(f"job {o.job.label}: FAILED ({o.error})")
 
@@ -272,38 +349,6 @@ def merge_matrix(report: SweepReport, exp_id: str, title: str) -> ExperimentResu
 # -- artifacts ---------------------------------------------------------------
 
 
-def sweep_metrics_registry(report: SweepReport):
-    """The sweep's execution telemetry as a metrics registry.
-
-    Re-expresses ``SWEEP_report.json``'s worker/cache numbers in the same
-    labeled-series snapshot format every other runner exports
-    (``render_metrics_snapshot``), so one dashboard vocabulary covers
-    simulation metrics and sweep-execution metrics alike. Counters for
-    job statuses, retries, and executor-side deadline kills; histograms
-    for per-job compute seconds and peak RSS; gauges for the wall clock,
-    worker count, speedup estimate, and cache hit/miss/eviction state.
-    """
-    from repro.obs import MetricsRegistry
-
-    reg = MetricsRegistry()
-    for o in report.outcomes:
-        reg.count("sweep.jobs", status=o.status, experiment=o.job.experiment)
-        if o.attempts > 1:
-            reg.count("sweep.retries", float(o.attempts - 1))
-        if o.error and "JobTimeout" in o.error:
-            reg.count("sweep.deadline_kills")
-        reg.observe("sweep.compute_s", o.compute_s, status=o.status)
-        if o.peak_rss_kb:
-            reg.observe("sweep.peak_rss_kb", float(o.peak_rss_kb))
-    reg.gauge("sweep.workers", float(report.workers))
-    reg.gauge("sweep.wall_s", report.wall_s)
-    reg.gauge("sweep.serial_estimate_s", report.serial_estimate_s)
-    reg.gauge("sweep.speedup_estimate", report.speedup_estimate)
-    for key, val in (report.cache_stats or {}).items():
-        reg.gauge("sweep.cache", float(val), stat=key)
-    return reg
-
-
 def write_sweep_artifacts(
     out_dir: str,
     merged: ExperimentResult,
@@ -311,10 +356,6 @@ def write_sweep_artifacts(
     args_echo: dict,
 ) -> list[str]:
     """Write SWEEP_result.txt (deterministic) + SWEEP_report.json (telemetry)."""
-    from repro.parallel.cache import code_digest
-
-    from .golden import result_digest
-
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     merged_digest = result_digest(merged)
@@ -325,29 +366,22 @@ def write_sweep_artifacts(
     report_path = directory / "SWEEP_report.json"
     payload = {
         "args": args_echo,
-        "code_digest": code_digest(),
         "merged_digest": merged_digest,
         "workers": report.workers,
         "wall_s": report.wall_s,
         "serial_estimate_s": report.serial_estimate_s,
         "speedup_estimate": report.speedup_estimate,
-        "cache": report.cache_stats,
-        "metrics": sweep_metrics_registry(report).snapshot(),
         "summary": report.summary_line(),
         "jobs": [
             {
                 "label": o.job.label,
-                "job_digest": o.job.digest,
                 "experiment": o.job.experiment,
                 "seed": o.job.seed,
                 "duration_us": o.job.duration_us,
                 "config": o.job.config,
-                "status": o.status,
-                "attempts": o.attempts,
+                "status": "ran" if o.ok else "failed",
                 "compute_s": o.compute_s,
-                "import_s": o.import_s,
-                "peak_rss_kb": o.peak_rss_kb,
-                "result_digest": o.result_digest,
+                "result_digest": result_digest(o.result) if o.ok else None,
                 "error": o.error,
             }
             for o in report.outcomes
@@ -367,8 +401,7 @@ def _csv(text: str) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments sweep",
-        description="Multi-core experiment fan-out with a content-addressed "
-        "result cache.",
+        description="Multi-core experiment fan-out.",
     )
     parser.add_argument(
         "mode",
@@ -413,32 +446,31 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: all cores)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="recompute every cell"
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache root (default: out/cache)",
+        help="worker processes (default: every usable core)",
     )
     parser.add_argument(
         "--out", default=DEFAULT_OUT_DIR, metavar="DIR",
         help="artifact directory; 'none' writes nothing",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=900.0, metavar="S",
-        help="per-job wall-clock budget in seconds",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-runs granted to a failed/crashed job",
-    )
-    parser.add_argument("--quiet", action="store_true", help="no progress lines")
     args = parser.parse_args(argv)
+
+    # every count and id is checked before any cell runs
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be a positive worker count, got {args.jobs}")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be a positive replica count, got {args.seeds}")
+
+    def numbers(flag: str, text: str, kind: type) -> list:
+        try:
+            return [kind(t) for t in _csv(text)]
+        except ValueError:
+            parser.error(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}")
 
     if args.mode == "replicate":
         experiments = _csv(args.experiments)
+        unknown = [e for e in experiments if e not in REGISTRY]
+        if unknown:
+            parser.error(f"unknown experiment(s): {', '.join(unknown)}")
         jobs = replicate_jobs(experiments, args.seeds, args.seed_base, args.duration)
         title = (
             f"{'x'.join(experiments)} x {args.seeds} seeds "
@@ -446,7 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     elif args.mode == "sensitivity":
         jobs = sensitivity_jobs(
-            [float(s) for s in _csv(args.scales)],
+            numbers("--scales", args.scales, float),
             seeds=max(1, args.seeds // 2),
             seed_base=args.seed_base,
             duration_us=args.duration,
@@ -454,7 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         title = "cost-constant grid + mechanism knockouts"
     elif args.mode == "cluster":
         jobs = cluster_jobs(
-            [int(n) for n in _csv(args.nodes)],
+            numbers("--nodes", args.nodes, int),
             seed=args.seed_base,
             duration_us=args.duration,
         )
@@ -473,17 +505,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs = scenario_jobs(seed=args.seed_base, duration_us=args.duration)
         title = "chaos + failover + cluster campaign matrix"
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(root=Path(args.cache_dir)) if args.cache_dir else ResultCache()
-    runner = SweepRunner(
-        workers=args.jobs,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        verbose=not args.quiet,
-    )
-    report = runner.run(jobs)
+    workers = args.jobs if args.jobs is not None else usable_cores()
+    t0 = time.perf_counter()
+    cells = [(j.experiment, j.seed, j.duration_us, j.config) for j in jobs]
+    outcomes = [
+        JobOutcome(job, *out) for job, out in zip(jobs, run_cells(cells, workers))
+    ]
+    report = SweepReport(outcomes, time.perf_counter() - t0, workers)
 
     if args.mode == "replicate":
         merged = merge_replicate(report, title)
@@ -498,7 +526,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "seeds": args.seeds,
             "seed_base": args.seed_base,
             "duration_us": args.duration,
-            "no_cache": args.no_cache,
         }
         written = write_sweep_artifacts(args.out, merged, report, args_echo)
         print(f"wrote {', '.join(written)}")

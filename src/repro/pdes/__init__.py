@@ -1,9 +1,9 @@
 """PDES-lite: partitioned discrete-event execution inside a single run.
 
-The sweep engine (:mod:`repro.parallel`) parallelizes *across* runs;
-this package parallelizes *within* one. It exploits the structure the
-hardware model already encodes: cluster nodes interact only through the
-SAN, whose **minimum** crossing latency
+The sweep (:func:`repro.experiments.golden.run_cells`) parallelizes
+*across* runs; this package parallelizes *within* one. It exploits the
+structure the hardware model already encodes: cluster nodes interact
+only through the SAN, whose **minimum** crossing latency
 (:meth:`repro.server.cluster.Cluster.min_cross_latency_us`) is a
 conservative lookahead, so a coordinator can advance every node
 partition through synchronized time windows and deliver cross-partition

@@ -43,7 +43,7 @@ Two executors run the same protocol:
 * :class:`ProcessExecutor` — partitions mapped round-robin onto K
   persistent spawn workers (one window command per worker per round,
   canonical dicts over a ``multiprocessing`` pipe, error envelopes with
-  tracebacks — the :mod:`repro.parallel` IPC idiom). Workers advance
+  tracebacks). Workers advance
   their partitions concurrently; the coordinator's protocol is a pure
   function of the specs, so the merged fragments are byte-identical to
   the serial executor's for every worker count.

@@ -13,8 +13,7 @@ The pieces:
 
 * :class:`PartitionSpec` — the canonical, process-portable description
   of one partition (index, name, a ``module:callable`` builder, config).
-  Specs cross process boundaries exactly like
-  :class:`repro.parallel.Job` payloads: plain dicts only.
+  Specs cross process boundaries as plain dicts only.
 * :class:`PartitionHarness` — the base class a partitioned workload
   subclasses. The subclass builds its model in ``build()``, reacts to
   inbound messages in ``on_message()``, and reports its results as a
@@ -102,9 +101,8 @@ class PartitionSpec:
     """Canonical description of one partition, portable across processes.
 
     ``builder`` is a ``module:callable`` path resolving to
-    ``callable(spec) -> PartitionHarness`` — the same import-by-path
-    convention :mod:`repro.parallel.worker` uses for experiments, so
-    worker processes never unpickle code objects.
+    ``callable(spec) -> PartitionHarness``, imported by path so worker
+    processes never unpickle code objects.
     """
 
     index: int

@@ -6,11 +6,13 @@ seconds: utilization ordering, host degradation under load, NI immunity,
 and the delay ramps.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.experiments import run_loading_experiment
-from repro.experiments.figures import LoadedRun
+from repro.experiments.figures import LoadedRun, figure9
 from repro.sim import S
 
 DURATION = 60 * S
@@ -103,6 +105,13 @@ class TestFigure9Shape:
     def test_ni_delivers_both_streams(self, ni_60):
         for sid in ("s1", "s2"):
             assert ni_60.service.reception(sid).frames_received > 100
+
+    def test_ratio_is_nan_when_the_no_load_run_settles_at_zero(self):
+        """At 1 simulated second the settling window holds no delivered
+        bytes; the ratio reads nan, as ``Row.ratio`` does, not a crash."""
+        result = figure9(duration_us=1 * S, seed=42)
+        assert result.row("settling bandwidth s1 (no load)").measured == 0.0
+        assert math.isnan(result.row("loaded/unloaded bandwidth ratio").measured)
 
 
 class TestFigure10Shape:

@@ -59,7 +59,7 @@ class TestSeedPlumbing:
     def test_cost_sensitivity_is_seed_invariant_by_construction(self, costs):
         """The microbench drains deterministic pre-filled rings, so a
         different seed must not move any cell — the explicit plumbing is
-        for honest sweep cache keys, not for variance."""
+        for a sweep's seed axis, not for variance."""
         from repro.experiments.golden import result_digest
 
         other = cost_sensitivity(seed=123)

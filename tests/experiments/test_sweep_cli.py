@@ -1,86 +1,129 @@
-"""The sweep CLI end to end: artifacts, caching, determinism.
+"""The sweep CLI end to end: artifacts, determinism, failures, flag checks.
 
 Kept cheap: `sens_costs` is the fastest registry experiment, so the
 matrix here is 2 seeds of it — enough to exercise the full path
-(job build → pool → cache → merge → artifacts → summary line).
+(job build → workers → merge → artifacts → summary line).
 """
 
 import json
 
 import pytest
 
-from repro.experiments import sweep
+from repro.experiments import REGISTRY, sweep
 
 
-def run_sweep(tmp_path, capsys, extra=()):
-    argv = [
-        "--experiments", "sens_costs",
-        "--seeds", "2",
-        "--jobs", "1",
-        "--cache-dir", str(tmp_path / "cache"),
-        "--out", str(tmp_path / "sweep"),
-        "--quiet",
-        *extra,
-    ]
-    rc = sweep.main(argv)
-    return rc, capsys.readouterr().out
+def sweep_argv(out, jobs):
+    return ["--experiments", "sens_costs", "--seeds", "2", "--jobs", str(jobs),
+            "--out", str(out)]
 
 
 @pytest.fixture(scope="module")
-def sweep_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("sweep-cli")
+def one_worker(tmp_path_factory):
+    """The 2-seed matrix swept once on one worker; its output directory."""
+    out = tmp_path_factory.mktemp("sweep-cli") / "one"
+    assert sweep.main(sweep_argv(out, jobs=1)) == 0
+    return out
 
 
-def test_cold_run_writes_artifacts_and_summary(sweep_dir, capsys):
-    rc, out = run_sweep(sweep_dir, capsys)
-    assert rc == 0
-    assert (sweep_dir / "sweep" / "SWEEP_result.txt").exists()
-    assert (sweep_dir / "sweep" / "SWEEP_report.json").exists()
-    assert "sweep: 2 jobs" in out
-    report = json.loads((sweep_dir / "sweep" / "SWEEP_report.json").read_text())
-    assert report["cache"]["misses"] == 2
-    assert all(j["status"] == "ran" for j in report["jobs"])
-    assert all(j["peak_rss_kb"] > 0 for j in report["jobs"])
+def test_cold_run_writes_artifacts_and_summary(one_worker):
+    assert (one_worker / "SWEEP_result.txt").exists()
+    report = json.loads((one_worker / "SWEEP_report.json").read_text())
+    assert report["summary"].startswith("sweep: 2 jobs (0 failed) workers=1 wall=")
+    assert "speedup-est=" in report["summary"]
+    assert [j["status"] for j in report["jobs"]] == ["ran", "ran"]
 
 
-def test_warm_run_hits_cache_and_is_byte_identical(sweep_dir, capsys):
-    cold_text = (sweep_dir / "sweep" / "SWEEP_result.txt").read_text()
-    rc, out = run_sweep(sweep_dir, capsys)
-    assert rc == 0
-    assert "2 cached" in out and "hit-rate=100%" in out
-    assert (sweep_dir / "sweep" / "SWEEP_result.txt").read_text() == cold_text
+def test_two_workers_are_byte_identical_to_one(one_worker, tmp_path, capsys):
+    assert sweep.main(sweep_argv(tmp_path, jobs=2)) == 0
+    assert "workers=2" in capsys.readouterr().out
+    assert (tmp_path / "SWEEP_result.txt").read_text() == (
+        one_worker / "SWEEP_result.txt"
+    ).read_text()
 
 
-def test_no_cache_recomputes_but_stays_identical(sweep_dir, capsys):
-    warm_text = (sweep_dir / "sweep" / "SWEEP_result.txt").read_text()
-    rc, out = run_sweep(sweep_dir, capsys, extra=["--no-cache"])
-    assert rc == 0
-    assert "0 cached" in out
-    assert (sweep_dir / "sweep" / "SWEEP_result.txt").read_text() == warm_text
-
-
-def test_merged_result_carries_ci_and_provenance(sweep_dir):
-    text = (sweep_dir / "sweep" / "SWEEP_result.txt").read_text()
+def test_merged_result_carries_ci_and_provenance(one_worker):
+    text = (one_worker / "SWEEP_result.txt").read_text()
     assert "mean of 2 seeds, 95% CI" in text
     assert text.count("result digest") == 2  # one provenance note per job
     assert "merged digest: " in text
 
 
-def test_out_none_writes_nothing(tmp_path, capsys):
+def test_out_none_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rc = sweep.main(
-        [
-            "--experiments", "sens_costs",
-            "--seeds", "1",
-            "--jobs", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--out", "none",
-            "--quiet",
-        ]
+        ["--experiments", "sens_costs", "--seeds", "1", "--jobs", "1", "--out", "none"]
     )
     out = capsys.readouterr().out
     assert rc == 0
     assert "wrote" not in out
-    assert not (tmp_path / "sweep").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatch):
+    def boom(seed=0):
+        raise RuntimeError("boom")
+
+    # one in-process worker, so the patched registry is the one that runs
+    monkeypatch.setitem(REGISTRY, "boom", boom)
+    rc = sweep.main(
+        ["--experiments", "sens_costs,boom", "--seeds", "1", "--jobs", "1",
+         "--out", str(tmp_path)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "(1 failed)" in captured.out
+    assert "FAILED boom seed=42: RuntimeError: boom" in captured.err
+    text = (tmp_path / "SWEEP_result.txt").read_text()
+    assert "job boom seed=42: FAILED (RuntimeError: boom)" in text
+    assert "boom: every replica failed" in text
+    assert "sens_costs: baseline avg frame (fixed, cache off)" in text
+    assert "job sens_costs seed=42: result digest " in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--seeds", "0"],
+        ["--seeds", "-2"],
+        ["--experiments", "bogus"],
+        ["cluster", "--nodes", "2,x"],
+        ["sensitivity", "--scales", "1.5,x"],
+    ],
+    ids=["jobs-0", "jobs-neg", "seeds-0", "seeds-neg", "unknown-id", "nodes-nan",
+         "scales-nan"],
+)
+def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(
+            ["--experiments", "sens_costs", "--seeds", "1", "--jobs", "1",
+             "--duration", "1000000", "--out", str(out), *argv]
+        )
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_label_names_the_cell():
+    """The label is part of the provenance notes, so of the merged digest."""
+    job = sweep.Job(experiment="chaos", seed=7, duration_us=1e7, config={"k": 2})
+    assert job.label == "chaos seed=7 T=1e+07us k=2"
+
+
+def test_summary_line_contents():
+    """Counts, workers and timings; the serial estimate sums every cell's
+    compute seconds, failed cells included."""
+    ok = sweep.JobOutcome(sweep.Job("a"), result=None, error=None, compute_s=1.5)
+    bad = sweep.JobOutcome(sweep.Job("b"), result=None, error="boom", compute_s=0.5)
+    report = sweep.SweepReport(outcomes=[ok, bad], wall_s=1.0, workers=2)
+    assert report.summary_line() == (
+        "sweep: 2 jobs (1 failed) workers=2 wall=1.00s "
+        "serial-est=2.00s speedup-est=2.00x"
+    )
+    idle = sweep.SweepReport(outcomes=[], wall_s=0.0, workers=1)
+    assert idle.summary_line().endswith("speedup-est=0.00x")
 
 
 def test_job_matrices_shapes():
@@ -95,7 +138,7 @@ def test_job_matrices_shapes():
     assert all(j.experiment in ("chaos", "failover", "cluster") for j in scen)
     assert {j.experiment for j in scen} == {"chaos", "failover", "cluster"}
     assert all(len(j.config["scenarios"]) == 1 for j in scen)
-    assert len({j.digest for j in scen}) == len(scen)
+    assert len({j.label for j in scen}) == len(scen)
     clus = sweep.cluster_jobs(nodes=[2, 3], scenarios=("baseline",))
     assert [j.config["n_nodes"] for j in clus] == [2, 3]
     assert all(j.experiment == "cluster" for j in clus)
