@@ -27,7 +27,6 @@ from .figures import (
 from .extensions import admission_sweep, jitter_comparison, ni_balance, stream_scaling
 from .headline import headline, scheduling_overhead
 from .observe import observe, run_observed
-from .pdescluster import pdescluster
 from .report import ExperimentResult, Row, Series
 from .sensitivity import cost_sensitivity, mechanism_knockouts
 from .tables import table1, table2, table3, table4, table5
@@ -61,7 +60,6 @@ __all__ = [
     "run_failover_scenario",
     "observe",
     "run_observed",
-    "pdescluster",
     "run_loading_experiment",
     "LoadedRun",
     "ExperimentResult",
@@ -94,7 +92,6 @@ REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
     "transport": transport,
     "failover": failover,
     "observe": observe,
-    "pdescluster": pdescluster,
 }
 
 #: the scenario-driven experiment ids and their scenario registries:

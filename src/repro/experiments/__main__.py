@@ -4,7 +4,6 @@
     python -m repro.experiments table1 figure7 # run selected experiments
     python -m repro.experiments --list         # show experiment ids
     python -m repro.experiments figure7 --plots out/   # + ASCII plot files
-    python -m repro.experiments bench --partitions 2  # serial vs partitioned wall clock
     python -m repro.experiments sweep --jobs 4 # parallel multi-seed sweep
 """
 
@@ -34,11 +33,6 @@ def _write_artifacts(result: ExperimentResult, directory: Path, name: str) -> No
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "bench":
-        # the partition bench owns its own CLI (see bench.py)
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "sweep":
         # the parallel sweep engine owns its own CLI (see sweep.py)
         from .sweep import main as sweep_main
@@ -73,14 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="media transport(s) for experiments that accept one: "
         "udp, tcp, ttp (comma-separated for the transport comparison)",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pdescluster: run its partitions on N worker processes; the "
-        "result is byte-identical to the serial run",
     )
     parser.add_argument(
         "--plots",
@@ -119,18 +105,18 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
-    if args.partitions is not None and args.partitions < 1:
-        parser.error(
-            f"--partitions must be a positive worker count, got "
-            f"{args.partitions}; valid values are 1..N (or omit the flag "
-            "for the serial path)"
-        )
-    scenario_names = (
-        [s for s in args.scenarios.split(",") if s] if args.scenarios else None
-    )
-    transport_names = None
-    if args.transport is not None:
-        transport_names = [t for t in args.transport.split(",") if t]
+    def listed(flag: str, text: str | None) -> list[str] | None:
+        """A comma-list flag's names, or None when it is absent."""
+        if text is None:
+            return None
+        items = [t for t in text.split(",") if t]
+        if not items:
+            parser.error(f"{flag} names nothing, got {text!r}")
+        return items
+
+    scenario_names = listed("--scenarios", args.scenarios)
+    transport_names = listed("--transport", args.transport)
+    if transport_names is not None:
         try:
             for tname in transport_names:
                 resolve_transport(tname)
@@ -163,13 +149,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["transport"] = transport_names[0]
             else:
                 parser.error(f"experiment {name!r} does not take --transport")
-        if args.partitions is not None:
-            if "partitions" not in params:
-                parser.error(
-                    f"experiment {name!r} does not take --partitions; "
-                    "only pdescluster does"
-                )
-            kwargs["partitions"] = args.partitions
         planned.append((name, kwargs))
     for name, kwargs in planned:
         result = REGISTRY[name](**kwargs)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -50,6 +51,7 @@ __all__ = [
     "compute_result",
     "compute_digest",
     "run_cells",
+    "usable_cores",
     "load_goldens",
     "save_goldens",
     "verify",
@@ -79,7 +81,6 @@ GOLDEN_IDS = (
     "sens_costs",
     "sens_knockouts",
     "transport",
-    "pdescluster",
 )
 
 #: the scaled-down set the tier-1 suite recomputes on every run
@@ -93,7 +94,6 @@ SHORT_IDS = (
     "sens_costs",
     "sens_knockouts",
     "transport",
-    "pdescluster",
 )
 
 #: 10 simulated seconds: long enough for streams to settle and every
@@ -246,11 +246,18 @@ def save_goldens(goldens: dict) -> None:
     _GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the size of its affinity mask,
+    falling back to ``os.cpu_count()`` (or 1) where the platform has
+    none. ``sweep`` and the golden digest sets run this many workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _compute_set(which: str) -> tuple[Optional[float], dict]:
     """Recompute one digest set at ``GOLDEN_SEED`` on every usable core;
     returns ``(duration_us, {id: digest})``."""
-    from .bench import usable_cores
-
     if which == "short":
         ids, duration = SHORT_IDS, SHORT_DURATION_US
     elif which == "full":

@@ -44,8 +44,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import CAMPAIGNS, REGISTRY
-from .bench import usable_cores
-from .golden import result_digest, run_cells
+from .golden import result_digest, run_cells, usable_cores
 from .report import ExperimentResult
 
 __all__ = [
@@ -82,6 +81,16 @@ DEFAULT_NODE_GRID = (2, 3, 4)
 
 #: where the sweep artifacts land unless the caller overrides it
 DEFAULT_OUT_DIR = os.path.join("out", "sweep")
+
+#: the flags only some modes read, by argparse dest, and those modes; a
+#: mode given one it does not read exits 2 before any cell runs
+_MODE_FLAGS = {
+    "experiments": ("replicate",),
+    "seeds": ("replicate", "sensitivity"),
+    "scales": ("sensitivity",),
+    "nodes": ("cluster",),
+    "transports": ("transport",),
+}
 
 
 # -- cells and outcomes ------------------------------------------------------
@@ -353,7 +362,7 @@ def write_sweep_artifacts(
     out_dir: str,
     merged: ExperimentResult,
     report: SweepReport,
-    args_echo: dict,
+    argv: Sequence[str],
 ) -> list[str]:
     """Write SWEEP_result.txt (deterministic) + SWEEP_report.json (telemetry)."""
     directory = Path(out_dir)
@@ -365,7 +374,7 @@ def write_sweep_artifacts(
 
     report_path = directory / "SWEEP_report.json"
     payload = {
-        "args": args_echo,
+        "argv": list(argv),
         "merged_digest": merged_digest,
         "workers": report.workers,
         "wall_s": report.wall_s,
@@ -399,6 +408,7 @@ def _csv(text: str) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments sweep",
         description="Multi-core experiment fan-out.",
@@ -412,30 +422,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--nodes",
-        default=",".join(str(n) for n in DEFAULT_NODE_GRID),
         metavar="N,M,...",
         help="cluster mode: node-count grid (served streams vs node count)",
     )
     parser.add_argument(
         "--experiments",
-        default=",".join(DEFAULT_SWEEP_EXPERIMENTS),
         metavar="A,B,...",
         help="replicate mode: experiment ids to replicate",
     )
     parser.add_argument(
-        "--seeds", type=int, default=DEFAULT_SEEDS, metavar="N",
-        help="replications per experiment (seed-base, seed-base+1, ...)",
+        "--seeds", type=int, metavar="N",
+        help="replicate and sensitivity modes: replications per experiment "
+        "(seed-base, seed-base+1, ...)",
     )
     parser.add_argument("--seed-base", type=int, default=42, metavar="S")
     parser.add_argument(
         "--scales",
-        default=",".join(str(s) for s in DEFAULT_SCALES),
         metavar="X,Y,...",
         help="sensitivity mode: cost-constant scale grid",
     )
     parser.add_argument(
         "--transports",
-        default=None,
         metavar="T,U,...",
         help="transport mode: media transports to compare "
         "(default: udp,tcp,ttp)",
@@ -454,47 +461,59 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # every count and id is checked before any cell runs
+    # every flag, count and id is checked before any cell runs
+    for dest, modes in _MODE_FLAGS.items():
+        if getattr(args, dest) is not None and args.mode not in modes:
+            parser.error(
+                f"--{dest} is read only by {' and '.join(modes)}, "
+                f"not by {args.mode}"
+            )
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be a positive worker count, got {args.jobs}")
-    if args.seeds < 1:
+    if args.seeds is not None and args.seeds < 1:
         parser.error(f"--seeds must be a positive replica count, got {args.seeds}")
+    seeds = DEFAULT_SEEDS if args.seeds is None else args.seeds
 
-    def numbers(flag: str, text: str, kind: type) -> list:
+    def listed(flag: str, text: Optional[str], kind: type = str) -> Optional[list]:
+        """A comma-list flag's items, or None when it is absent."""
+        if text is None:
+            return None
         try:
-            return [kind(t) for t in _csv(text)]
+            items = [kind(t) for t in _csv(text)]
         except ValueError:
             parser.error(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}")
+        if not items:
+            parser.error(f"{flag} names nothing, got {text!r}")
+        return items
 
     if args.mode == "replicate":
-        experiments = _csv(args.experiments)
+        experiments = (
+            listed("--experiments", args.experiments) or DEFAULT_SWEEP_EXPERIMENTS
+        )
         unknown = [e for e in experiments if e not in REGISTRY]
         if unknown:
-            parser.error(f"unknown experiment(s): {', '.join(unknown)}")
-        jobs = replicate_jobs(experiments, args.seeds, args.seed_base, args.duration)
-        title = (
-            f"{'x'.join(experiments)} x {args.seeds} seeds "
-            f"(base {args.seed_base})"
-        )
+            parser.error(f"--experiments names unknown id(s): {', '.join(unknown)}")
+        jobs = replicate_jobs(experiments, seeds, args.seed_base, args.duration)
+        title = f"{'x'.join(experiments)} x {seeds} seeds (base {args.seed_base})"
     elif args.mode == "sensitivity":
         jobs = sensitivity_jobs(
-            numbers("--scales", args.scales, float),
-            seeds=max(1, args.seeds // 2),
+            listed("--scales", args.scales, float) or DEFAULT_SCALES,
+            seeds=max(1, seeds // 2),
             seed_base=args.seed_base,
             duration_us=args.duration,
         )
         title = "cost-constant grid + mechanism knockouts"
     elif args.mode == "cluster":
-        jobs = cluster_jobs(
-            numbers("--nodes", args.nodes, int),
-            seed=args.seed_base,
-            duration_us=args.duration,
+        nodes = listed("--nodes", args.nodes, int) or DEFAULT_NODE_GRID
+        jobs = cluster_jobs(nodes, seed=args.seed_base, duration_us=args.duration)
+        title = (
+            "cluster scale-out: nodes x scenarios "
+            f"(grid {','.join(map(str, nodes))})"
         )
-        title = f"cluster scale-out: nodes x scenarios (grid {args.nodes})"
     elif args.mode == "transport":
         try:
             jobs = transport_jobs(
-                _csv(args.transports) if args.transports else None,
+                listed("--transports", args.transports),
                 seed=args.seed_base,
                 duration_us=args.duration,
             )
@@ -520,14 +539,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     print(merged.render())
     if args.out and args.out != "none":
-        args_echo = {
-            "mode": args.mode,
-            "experiments": _csv(args.experiments),
-            "seeds": args.seeds,
-            "seed_base": args.seed_base,
-            "duration_us": args.duration,
-        }
-        written = write_sweep_artifacts(args.out, merged, report, args_echo)
+        written = write_sweep_artifacts(args.out, merged, report, argv)
         print(f"wrote {', '.join(written)}")
     print(report.summary_line())
 

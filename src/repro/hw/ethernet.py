@@ -208,16 +208,6 @@ class EthernetSwitch:
             obs.count("switch.frames_forwarded", dest=dest)
         port.inbox.put(frame)
 
-    def min_cross_latency_us(self) -> float:
-        """Partition-boundary declaration: the minimum time a frame takes
-        to cross this switch between two attached ports.
-
-        The store-and-forward lookup latency is paid unconditionally
-        before the egress link is touched; uplink/downlink wire time,
-        propagation, and queueing only add to it. The SAN seam's lookahead
-        builds on it (:meth:`repro.server.cluster.Cluster.min_cross_latency_us`)."""
-        return self.latency_us
-
     @property
     def port_names(self) -> list[str]:
         return sorted(self._ports)

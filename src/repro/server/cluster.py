@@ -54,18 +54,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def min_cross_latency_us(self) -> float:
-        """Partition-boundary declaration: the minimum node-to-node latency
-        across the SAN — the lookahead of the per-node PDES partitions
-        (:data:`repro.pdes.cluster.SAN_LOOKAHEAD_US`).
-
-        Every inter-node frame pays the source NI's fixed per-packet
-        encapsulation cost before it reaches the wire, then the SAN
-        switch's store-and-forward latency; wire time, decapsulation, and
-        queueing only add to that."""
-        stack_floor = min(card.stack.per_packet_us for card in self.san_cards)
-        return stack_floor + self.san.min_cross_latency_us()
-
     def probe_node(self, node_idx: int) -> Generator[Event, None, bool]:
         """Process: PCI status probe of a node's SAN card (see
         :meth:`repro.hw.nic.I960RDCard.status_probe`) — the cluster-level

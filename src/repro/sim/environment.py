@@ -129,32 +129,6 @@ class Environment:
         ev.callbacks.append(lambda _e: callback())
         return ev
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = NORMAL,
-        name: Optional[str] = None,
-    ) -> Event:
-        """Run *callback* at absolute simulated *time* (``>= now``).
-
-        The cross-partition injection point: a partitioned run
-        (:mod:`repro.pdes`) delivers a peer's timestamped message by
-        scheduling its local effect at the message's delivery time, with
-        an explicit *priority* so delivery order against same-tick local
-        events is pinned. Scheduling into the past raises — this is the
-        hard causality guard the PDES coordinator leans on.
-        """
-        delay = time - self.now
-        if delay < 0:
-            raise SimulationError(
-                f"schedule_at(t={time}) is in the past (now={self.now})"
-            )
-        ev = Event(self, name=name)
-        ev.callbacks.append(lambda _e: callback())
-        self._schedule_event(ev, delay, priority)
-        return ev
-
     # -- hook-slot watchers --------------------------------------------------
     def add_hook_watcher(self, callback: Callable[["Environment"], None]) -> None:
         """Register *callback* to re-run whenever a plane binds or unbinds.

@@ -43,45 +43,41 @@ def test_plots_include_ascii_series(tmp_path, capsys):
     assert "*" in text  # a plotted point
 
 
-class TestPartitionsFlag:
-    def test_only_pdescluster_takes_partitions(self):
-        params = {
-            name: set(inspect.signature(runner).parameters)
-            for name, runner in REGISTRY.items()
-        }
-        assert [n for n, p in params.items() if "partitions" in p] == ["pdescluster"]
-        # every runner keyword, pinned: a load-level subset or a control-
-        # block toggle would be a runner option with no caller
-        assert set().union(*params.values()) == {
-            "duration_us", "kinds", "n_nodes", "out_dir", "partitions",
-            "scale", "scenarios", "seed", "service_time_us",
-            "stream_counts", "timing_sink", "transfers", "transport",
-            "transports", "utilization_bound",
-        }
-
-    def test_partitions_flag_rejected_elsewhere(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table5", "--partitions", "2"])
-        err = capsys.readouterr().err
-        assert "'table5' does not take --partitions; only pdescluster does" in err
+def test_every_runner_keyword_is_pinned():
+    """A load-level subset or a control-block toggle would be a runner
+    option with no caller."""
+    params = [inspect.signature(runner).parameters for runner in REGISTRY.values()]
+    assert set().union(*params) == {
+        "duration_us", "kinds", "n_nodes", "out_dir", "scale", "scenarios",
+        "seed", "service_time_us", "stream_counts", "transfers", "transport",
+        "transports", "utilization_bound",
+    }
 
 
 class TestFlagsCheckedUpFront:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, err",
         [
-            ["chaos", "table5", "--scenarios", "baseline"],
-            ["chaos", "table5", "--transport", "ttp"],
-            ["pdescluster", "table5", "--partitions", "2"],
+            (["chaos", "table5", "--scenarios", "baseline"],
+             "'table5' does not take --scenarios"),
+            (["chaos", "table5", "--transport", "ttp"],
+             "'table5' does not take --transport"),
+            (["chaos", "--scenarios", ","], "--scenarios names nothing"),
+            (["chaos", "--scenarios", ""], "--scenarios names nothing"),
+            (["transport", "--transport", ","], "--transport names nothing"),
         ],
-        ids=["scenarios", "transport", "partitions"],
+        ids=["scenarios", "transport", "scenarios-comma", "scenarios-empty",
+             "transport-comma"],
     )
-    def test_bad_flag_stops_the_cli_before_any_experiment_runs(self, argv, capsys):
-        with pytest.raises(SystemExit):
+    def test_bad_flag_stops_the_cli_before_any_experiment_runs(
+        self, argv, err, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"'table5' does not take {argv[2]}" in captured.err
+        assert err in captured.err
 
     def test_campaigns_are_the_runners_that_take_scenarios(self):
         takes = [

@@ -3,7 +3,7 @@
 The kernel fast-path work claims bit-identical behaviour; these tests hold
 it to that. The ``short`` digest set (every experiment in
 ``golden.SHORT_IDS`` — figure9, ext_jitter, the chaos/failover/cluster/
-observe campaigns, both sensitivity runners, transport, pdescluster — at 10
+observe campaigns, both sensitivity runners and transport — at 10
 simulated seconds, seed 42) is *recomputed on every tier-1 run* and
 compared byte-for-byte against the checked-in ``golden_digests.json``. The
 ``full`` set is too slow for tier-1 — CI verifies it with

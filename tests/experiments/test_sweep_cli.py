@@ -28,6 +28,7 @@ def one_worker(tmp_path_factory):
 def test_cold_run_writes_artifacts_and_summary(one_worker):
     assert (one_worker / "SWEEP_result.txt").exists()
     report = json.loads((one_worker / "SWEEP_report.json").read_text())
+    assert report["argv"] == sweep_argv(one_worker, jobs=1)
     assert report["summary"].startswith("sweep: 2 jobs (0 failed) workers=1 wall=")
     assert "speedup-est=" in report["summary"]
     assert [j["status"] for j in report["jobs"]] == ["ran", "ran"]
@@ -90,19 +91,34 @@ def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatc
         ["--experiments", "bogus"],
         ["cluster", "--nodes", "2,x"],
         ["sensitivity", "--scales", "1.5,x"],
+        ["sensitivity", "--experiments", "sens_costs"],
+        ["sensitivity", "--nodes", "2"],
+        ["sensitivity", "--transports", "udp"],
+        ["--scales", "1.5"],
+        ["cluster", "--seeds", "3"],
+        ["scenarios", "--seeds", "2"],
+        ["--experiments", ","],
+        ["cluster", "--nodes", ","],
+        ["sensitivity", "--scales", ","],
+        ["transport", "--transports", ","],
     ],
     ids=["jobs-0", "jobs-neg", "seeds-0", "seeds-neg", "unknown-id", "nodes-nan",
-         "scales-nan"],
+         "scales-nan", "experiments-elsewhere", "nodes-elsewhere",
+         "transports-elsewhere", "scales-elsewhere", "seeds-in-cluster",
+         "seeds-in-scenarios", "experiments-empty", "nodes-empty",
+         "scales-empty", "transports-empty"],
 )
 def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, tmp_path, capsys):
+    """Each case fails on its own flag, which the error names: a flag the
+    chosen mode does not read is refused, not ignored."""
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as exc:
-        sweep.main(
-            ["--experiments", "sens_costs", "--seeds", "1", "--jobs", "1",
-             "--duration", "1000000", "--out", str(out), *argv]
-        )
+        sweep.main(["--jobs", "1", "--duration", "1000000", "--out", str(out), *argv])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(a for a in argv if a.startswith("--"))
+    assert flag in captured.err.splitlines()[-1]  # the error, not the usage
     assert not out.exists()
 
 
