@@ -82,8 +82,12 @@ class SortedList(SelectionStructure):
 
     # -- queries --------------------------------------------------------------
     def select(self, ops: OpCounter) -> Optional[Entry]:
+        # like the other three structures, an empty one is known free of
+        # charge: DWCSScheduler.schedule skips an empty cycle's select
+        if not self._entries:
+            return None
         ops.mem_reads += 1
-        return self._entries[0] if self._entries else None
+        return self._entries[0]
 
     def late_entries(self, now_us: float, ops: OpCounter) -> list[Entry]:
         # ordered by deadline-dominant order: late heads form a prefix

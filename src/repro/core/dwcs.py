@@ -206,10 +206,7 @@ class DWCSScheduler:
     @property
     def backlog(self) -> int:
         """Total packets queued across streams."""
-        total = 0
-        for q in self.queues.values():
-            total += len(q)
-        return total
+        return sum(map(len, self.queues.values()))
 
     def queue_depth(self, stream_id: str) -> int:
         return len(self.queues[stream_id])
@@ -241,6 +238,16 @@ class DWCSScheduler:
         ops_before = self.ops.copy()
         self.costs.charge_decision_base(self.ops)
         self.stats.decisions += 1
+        if not self._entries:
+            # No stream has a head-of-line packet: the miss scan, the
+            # selection and the release search would find nothing and
+            # charge nothing beyond the decision base already charged.
+            return Decision(
+                serviced=None,
+                late=False,
+                dropped=[],
+                ops=self.ops.snapshot_delta(ops_before),
+            )
 
         dropped = self._process_misses(now_us)
         entry = self._select_eligible(now_us)

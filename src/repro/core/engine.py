@@ -32,7 +32,7 @@ from repro.fixedpoint import OpCounter
 from repro.hw.cpu import CPU
 from repro.media.frames import FrameDescriptor, MediaFrame
 from repro.rtos.task import Task
-from repro.sim import Environment, Event, TallyStats, TimeSeries
+from repro.sim import AnyOf, Environment, Event, TallyStats, TimeSeries
 
 from .dwcs import Decision, DWCSScheduler
 
@@ -158,8 +158,9 @@ class StreamingEngine:
             if sp is not None:
                 self._squeue_spans[id(desc)] = sp
             obs.count("engine.frames_submitted", stream=frame.stream_id)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup._state:  # still pending (runs per frame)
+            wakeup.succeed()
         return desc
 
     def stop(self) -> None:
@@ -243,8 +244,9 @@ class StreamingEngine:
                     delay = decision.idle_until - env.now
                 else:
                     delay = self.idle_poll_us
-                self._wakeup = env.event()
-                yield self._wakeup | env.timeout(delay)
+                # `wakeup | timeout`, built directly in the same order
+                wakeup = self._wakeup = Event(env)
+                yield AnyOf(env, (wakeup, env.timeout(delay)))
                 self._wakeup = None
 
     def _record_dispatch(self, decision: Decision) -> None:

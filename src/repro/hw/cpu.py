@@ -85,6 +85,8 @@ class CPU:
         # a memo hit returns the exact float the full computation would —
         # the golden digests pin this bit-for-bit.
         self._cycles_memo: dict[tuple[float, tuple[int, ...]], float] = {}
+        #: the spec is frozen, so this is the float spec.cycle_us returns
+        self._cycle_us = spec.cycle_us
 
     # -- cost conversion -------------------------------------------------------
     def cycles_for(self, ops: OpCounter, working_set_bytes: int | None = None) -> float:
@@ -117,14 +119,19 @@ class CPU:
 
     def time_for(self, ops: OpCounter, working_set_bytes: int | None = None) -> float:
         """Microseconds to execute *ops*; also accumulates cycle accounting."""
-        cycles = self.cycles_for(ops, working_set_bytes)
+        # the memo probe of cycles_for, inlined: time_for runs per decision
+        cycles = self._cycles_memo.get(
+            (self.cache.effective_hit_ratio(working_set_bytes), ops.as_tuple())
+        )
+        if cycles is None:
+            cycles = self.cycles_for(ops, working_set_bytes)
         self.cycles_charged += cycles
-        return cycles * self.spec.cycle_us
+        return cycles * self._cycle_us
 
     def time_us(self, cycles: float) -> float:
         """Microseconds for a raw cycle count (device driver fixed costs)."""
         self.cycles_charged += cycles
-        return cycles * self.spec.cycle_us
+        return cycles * self._cycle_us
 
     def __repr__(self) -> str:
         return f"<CPU {self.name} {self.spec.clock_mhz:g}MHz cache={self.cache!r}>"

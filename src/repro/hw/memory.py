@@ -63,7 +63,9 @@ class MemoryRegion:
         self.pinned = pinned
         self.used_bytes = 0
         self.peak_bytes = 0
-        self._live: list[Allocation] = []
+        #: live allocations in allocation order; a dict (values unused)
+        #: keeps that order under deletion and makes a release O(1)
+        self._live: dict[Allocation, None] = {}
 
     @property
     def free_bytes(self) -> int:
@@ -80,12 +82,12 @@ class MemoryRegion:
         alloc = Allocation(self, size, tag)
         self.used_bytes += size
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-        self._live.append(alloc)
+        self._live[alloc] = None
         return alloc
 
     def _release(self, alloc: Allocation) -> None:
         self.used_bytes -= alloc.size
-        self._live.remove(alloc)
+        del self._live[alloc]
 
     def live_allocations(self, tag: Optional[str] = None) -> list[Allocation]:
         if tag is None:

@@ -100,12 +100,15 @@ class OSKernel:
 
     # -- submission -------------------------------------------------------------
     def _submit(self, task: Task, amount_us: float) -> Event:
-        ev = self.env.event(name=task._compute_label)
+        # runs once per compute(), so _wake_idle is inlined
+        ev = Event(self.env, task._compute_label)
         seq = self._seq = self._seq + 1
         req = WorkRequest(task, amount_us, ev, seq)
-        # req.priority inlined (it is a property; _submit runs per compute())
         heapq.heappush(self._ready, (task.priority + task.decay_offset, seq, req))
-        self._wake_idle()
+        if self._idle_waiters:
+            waiters, self._idle_waiters = self._idle_waiters, []
+            for w in waiters:
+                w.succeed()
         if self.preemptive:
             self._maybe_preempt(req)
         return ev
@@ -127,15 +130,19 @@ class OSKernel:
     # -- preemption ----------------------------------------------------------------
     def _maybe_preempt(self, newcomer: WorkRequest) -> None:
         """Interrupt the worst-ranked running slice if *newcomer* outranks it."""
+        task = newcomer.task
+        bound = task.bound_cpu
         worst_idx: Optional[int] = None
-        worst_prio = newcomer.priority
+        worst_prio = task.priority + task.decay_offset
         for i, running in enumerate(self._running):
             if running is None:
                 return  # an idle CPU will pick the newcomer up immediately
-            if newcomer.bound_cpu is not None and i != newcomer.bound_cpu:
+            if bound is not None and i != bound:
                 continue
-            if running.priority > worst_prio:
-                worst_prio = running.priority
+            other = running.task
+            prio = other.priority + other.decay_offset
+            if prio > worst_prio:
+                worst_prio = prio
                 worst_idx = i
         if worst_idx is not None:
             self._dispatchers[worst_idx].interrupt("preempt")
@@ -143,17 +150,23 @@ class OSKernel:
     # -- selection -------------------------------------------------------------------
     def _select(self, cpu_idx: int) -> Optional[WorkRequest]:
         """Pop the best eligible request for *cpu_idx* (affinity-aware)."""
-        skipped: list[tuple[int, int, WorkRequest]] = []
+        ready = self._ready
+        if not ready:
+            return None
+        bound = ready[0][2].task.bound_cpu
+        if bound is None or bound == cpu_idx:
+            return heapq.heappop(ready)[2]  # the common case: the top may run here
+        skipped = [heapq.heappop(ready)]
         chosen: Optional[WorkRequest] = None
-        while self._ready:
-            entry = heapq.heappop(self._ready)
-            req = entry[2]
-            if req.bound_cpu is None or req.bound_cpu == cpu_idx:
-                chosen = req
+        while ready:
+            entry = heapq.heappop(ready)
+            bound = entry[2].task.bound_cpu
+            if bound is None or bound == cpu_idx:
+                chosen = entry[2]
                 break
             skipped.append(entry)
         for entry in skipped:
-            heapq.heappush(self._ready, entry)
+            heapq.heappush(ready, entry)
         return chosen
 
     # -- the dispatcher loop -----------------------------------------------------------
@@ -176,7 +189,7 @@ class OSKernel:
         while True:
             req = select(cpu_idx)
             if req is None:
-                waiter = env.event(name=idle_label)
+                waiter = Event(env, idle_label)
                 # NOT bound locally: _wake_idle swaps the list wholesale
                 self._idle_waiters.append(waiter)
                 try:

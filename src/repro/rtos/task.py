@@ -24,24 +24,20 @@ __all__ = ["Task", "WorkRequest"]
 
 
 class WorkRequest:
-    """An outstanding demand for CPU time by a task."""
+    """An outstanding demand for CPU time by a task.
 
-    __slots__ = ("task", "remaining_us", "event", "seq", "enqueued_at")
+    It is ranked by its task's effective priority, ``task.priority +
+    task.decay_offset``, and may run only on ``task.bound_cpu`` when that
+    is set; the kernel reads both off the task on every submission.
+    """
+
+    __slots__ = ("task", "remaining_us", "event", "seq")
 
     def __init__(self, task: "Task", amount_us: float, event: Event, seq: int) -> None:
         self.task = task
         self.remaining_us = amount_us
         self.event = event
         self.seq = seq
-        self.enqueued_at = task.kernel.env.now
-
-    @property
-    def priority(self) -> int:
-        return self.task.priority + self.task.decay_offset
-
-    @property
-    def bound_cpu(self) -> Optional[int]:
-        return self.task.bound_cpu
 
     def __repr__(self) -> str:
         return f"<WorkRequest {self.task.name!r} {self.remaining_us:.1f}us left>"

@@ -10,12 +10,26 @@ the monotone sequence number makes same-time processing deterministic
 (FIFO in scheduling order), which the reproduction relies on for exact
 repeatability of every experiment.
 
-Hot-path notes (the wall-clock benchmark harness pins these): ``now`` is a
-plain attribute (read-only by convention — only the kernel writes it), the
-``run()`` loop inlines the body of :meth:`Environment.step`, and events
-with no registered callbacks skip the callback hand-off entirely. All of
-this is observably identical to the straightforward implementation; the
-golden-digest tests prove it stays bit-identical.
+Hot-path notes: ``now`` is a plain attribute (read-only by convention —
+only the kernel writes it), the ``run()`` loop inlines the body of
+:meth:`Environment.step`, and events with no registered callbacks skip the
+callback hand-off entirely. All of this is observably identical to the
+straightforward implementation. Two checks pin that: perfbench's exact
+``sim.events`` and ``sim.processes`` counts (``perfbench/pins.json``) and
+the golden digests (``python -m repro.experiments.golden --verify full``).
+
+The steady state makes no cyclic garbage. A condition that has fired or
+failed takes its callback off the members that have not run theirs, a
+finished process drops the bound resume callback that refers back to it,
+and a failed process's traceback starts below the kernel frame that holds
+the process. Reference counting frees all of them, so the cyclic collector
+has almost nothing to find; nothing in ``src/`` uses ``__del__``, weak
+references or ``gc``, so when an object dies cannot change a result.
+Binding ``generator.send``/``throw`` once per process looks like the next
+saving but is not one: on CPython 3.11.7 (2-core Xeon), a four-process
+timeout loop ran at 1.94 µs per event with the ``self._generator.send``
+call ``_resume`` makes and at 1.98 µs with a bound ``send`` kept in a
+slot (medians of seven runs of 200,000 events).
 """
 
 from __future__ import annotations

@@ -117,10 +117,6 @@ class Event:
         else:
             self.fail(event._value)
 
-    # -- kernel hooks --------------------------------------------------------
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
-
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])
 
@@ -138,7 +134,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers *delay* time units after its creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(
         self, env: "Environment", delay: float, value: Any = None, name: Optional[str] = None
@@ -154,7 +150,6 @@ class Timeout(Event):
         self._value = value
         self.callbacks = []
         self.defused = False
-        self.delay = delay
         # A timeout's outcome is fixed at creation but it only *triggers*
         # when the clock reaches it: waiters created meanwhile must block.
         seq = env._seq = env._seq + 1
@@ -197,31 +192,44 @@ class ConditionValue:
 
 
 class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Common machinery for :class:`AllOf` / :class:`AnyOf`.
+
+    Once the condition has fired or failed, it takes its callback off every
+    member that has not run its callbacks yet: that callback would return at
+    once, and left in place it would hold the condition in a reference cycle
+    (condition -> member -> callback -> condition) until the member fires.
+    A member that never fires, like the idle wait's wakeup that its timeout
+    beats, would leave the pair for the cyclic garbage collector.
+    """
 
     __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
-        for e in self._events:
+        members = self._events = list(events)
+        for e in members:
             if e.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        self._remaining = len(self._events)
-        for e in self._events:
-            if e.triggered:
-                self._on_member(e)
+        self._remaining = len(members)
+        # one bound method for every member; _detach finds it by equality
+        on_member = self._on_member
+        for e in members:
+            if e._state:  # TRIGGERED or PROCESSED
+                on_member(e)
+                if self._state:
+                    break  # fired already: later members would be ignored
             else:
-                e.callbacks.append(self._on_member)
-        if not self._events and self._state == PENDING:
+                e.callbacks.append(on_member)
+        if not members and self._state == PENDING:
             # Empty condition is immediately satisfied.
             self.succeed(ConditionValue())
 
     def _collect(self) -> ConditionValue:
         value = ConditionValue()
+        collected = value.events
         for e in self._events:
-            if e.triggered and e not in value.events:
-                value.events.append(e)
+            if e._state and e not in collected:
+                collected.append(e)
         return value
 
     def _on_member(self, event: Event) -> None:
@@ -230,10 +238,25 @@ class _Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
+            self._detach()
             return
         self._remaining -= 1
         if self._satisfied(event):
             self.succeed(self._collect())
+            self._detach()
+
+    def _detach(self) -> None:
+        """Remove this condition's callback from members yet to be processed."""
+        on_member = self._on_member
+        for e in self._events:
+            if e._state != PROCESSED:
+                try:
+                    e.callbacks.remove(on_member)
+                except ValueError:
+                    # never registered (it fired the condition at
+                    # construction, or came after the one that did), or its
+                    # callbacks were cleared by their owner
+                    pass
 
     def _satisfied(self, event: Event) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

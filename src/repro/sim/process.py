@@ -117,10 +117,20 @@ class Process(Event):
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             env.active_process = None
+            # the bound method refers back to this process: dropping it lets
+            # reference counting free a finished process
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as err:
             env.active_process = None
+            self._resume_cb = None
+            # This frame refers to the process, so the failure's traceback
+            # starts below it, at the generator; an error the generator
+            # never saw (no tb_next) keeps the whole traceback. No local
+            # names the traceback: it would refer back to this frame.
+            if err.__traceback__.tb_next is not None:
+                err.__traceback__ = err.__traceback__.tb_next
             self.fail(err)
             return
         env.active_process = None

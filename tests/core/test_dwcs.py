@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import DWCSScheduler, LinearScan, StreamSpec
-from repro.fixedpoint import FixedPointContext, SoftwareFloatContext
+from repro.core import (
+    CalendarQueue,
+    DualHeaps,
+    DWCSScheduler,
+    LinearScan,
+    SortedList,
+    StreamSpec,
+)
+from repro.fixedpoint import FixedPointContext, OpCounter, SoftwareFloatContext
 from repro.media import FrameType, MediaFrame
 
 
@@ -311,6 +318,21 @@ class TestBookkeeping:
         before = s.ops.total()
         s.schedule(0.0)
         assert s.ops.total() > before
+
+    @pytest.mark.parametrize("miss_scan", ["descriptor-loop", "structure"])
+    @pytest.mark.parametrize("factory", [DualHeaps, LinearScan, SortedList, CalendarQueue])
+    def test_empty_cycle_charges_only_the_decision_base(self, factory, miss_scan):
+        s = sched(selection_factory=factory, miss_scan=miss_scan, work_conserving=False)
+        s.add_stream(StreamSpec("s1", period_us=1000.0, loss_x=1, loss_y=2))
+        fill(s, "s1", 1)
+        s.schedule(0.0)  # serviced: the ring is empty again
+        before = s.ops.copy()
+        d = s.schedule(5000.0)
+        base = OpCounter()
+        s.costs.charge_decision_base(base)
+        assert (d.serviced, d.dropped, d.idle_until) == (None, [], None)
+        assert d.ops == base
+        assert s.ops.snapshot_delta(before) == base
 
 
 class TestArithmeticBuilds:
