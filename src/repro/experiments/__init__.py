@@ -1,8 +1,11 @@
 """Experiment harness: one runner per table and figure of the paper.
 
-``REGISTRY`` maps experiment ids to zero-argument callables returning
-:class:`~repro.experiments.report.ExperimentResult`, and ``CAMPAIGNS``
-maps the scenario-driven ids to their scenario tables.
+``REGISTRY`` maps experiment ids to runners returning
+:class:`~repro.experiments.report.ExperimentResult`. Every runner can be
+called with no arguments; most also take keywords (``seed``,
+``duration_us``, ``n_nodes``, ...), which the CLI's flags and its
+``--set`` axis pass. ``CAMPAIGNS`` maps the scenario-driven ids to their
+scenario tables.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ __all__ = [
     "CAMPAIGNS",
 ]
 
-REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
+REGISTRY: dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1,
     "table2": table2,
     "table3": table3,
@@ -95,7 +98,7 @@ REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
 }
 
 #: the scenario-driven experiment ids and their scenario registries:
-#: ``--list ID``, the ``--scenarios`` check and ``sweep scenarios`` read it
+#: ``--list ID`` and the ``--scenarios`` check read it
 CAMPAIGNS = {
     "chaos": SCENARIOS,
     "failover": FAILOVER_SCENARIOS,

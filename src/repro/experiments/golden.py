@@ -18,7 +18,8 @@ Two digest sets are kept:
   (``tests/experiments/test_golden_digests.py``).
 
 Both sets are computed through :func:`run_cells`, the one fan-out that
-runs registry cells across worker processes (``sweep`` uses it too).
+runs registry cells across worker processes (``python -m
+repro.experiments`` uses it too).
 
 Refreshing after an *intentional* behaviour change::
 
@@ -47,9 +48,7 @@ __all__ = [
     "SHORT_DURATION_US",
     "GOLDEN_SEED",
     "result_digest",
-    "trace_digest",
     "compute_result",
-    "compute_digest",
     "run_cells",
     "usable_cores",
     "load_goldens",
@@ -138,33 +137,16 @@ def result_digest(result: "ExperimentResult") -> str:
     return h.hexdigest()
 
 
-def trace_digest(tracer) -> str:
-    """SHA-256 of the sorted event log of a :class:`~repro.sim.trace.Tracer`.
-
-    Events are serialized to sorted-key JSON and sorted as strings, so the
-    digest is insensitive to emission order but pinned to every timestamp
-    and field value.
-    """
-    lines = sorted(
-        json.dumps(ev.to_dict(), sort_keys=True, default=repr)
-        for ev in tracer.events()
-    )
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 def compute_result(
     name: str,
-    seed: int = 42,
+    seed: Optional[int] = 42,
     duration_us: Optional[float] = None,
     **overrides,
 ) -> "ExperimentResult":
     """Run one registered experiment.
 
-    ``seed`` and ``duration_us`` reach the runner only if it takes them.
+    ``seed`` and ``duration_us`` reach the runner only if it takes them,
+    and only when not ``None``: the runner then keeps its own default.
     Any other override the runner's signature does not name raises
     ``ValueError`` with the accepted names spelled out: dropping it would
     run a different cell than the caller asked for. The one exception is
@@ -184,22 +166,11 @@ def compute_result(
             f"experiment {name!r}; accepted parameters: "
             f"{', '.join(sorted(params)) or '(none)'}"
         )
-    if "seed" in params:
+    if seed is not None and "seed" in params:
         overrides["seed"] = seed
     if duration_us is not None and "duration_us" in params:
         overrides["duration_us"] = duration_us
     return runner(**overrides)
-
-
-def compute_digest(
-    name: str,
-    seed: int = 42,
-    duration_us: Optional[float] = None,
-    **overrides,
-) -> str:
-    return result_digest(
-        compute_result(name, seed=seed, duration_us=duration_us, **overrides)
-    )
 
 
 def _run_cell(cell: tuple) -> tuple:
@@ -207,8 +178,7 @@ def _run_cell(cell: tuple) -> tuple:
     name, seed, duration_us, config = cell
     t0 = time.perf_counter()
     try:
-        # artifacts stay off disk: a cell's output is its result object
-        result = compute_result(name, seed, duration_us, out_dir=None, **config)
+        result = compute_result(name, seed, duration_us, **config)
         error = None
     except Exception as exc:
         result, error = None, f"{type(exc).__name__}: {exc}"
@@ -220,6 +190,8 @@ def run_cells(cells: Sequence[tuple], workers: int) -> list[tuple]:
     processes; returns ``(result, error, compute_s)`` per cell, in input
     order.
 
+    Each cell's ``config`` reaches :func:`compute_result` as given, so a
+    cell that must write no artifacts carries ``out_dir=None``.
     ``error`` is ``None`` for a cell that returned and
     ``"<Type>: <message>"`` for one that raised. With one worker (or
     one cell) the cells run in this process; otherwise spawn-fresh
@@ -249,7 +221,7 @@ def save_goldens(goldens: dict) -> None:
 def usable_cores() -> int:
     """Cores this process may run on: the size of its affinity mask,
     falling back to ``os.cpu_count()`` (or 1) where the platform has
-    none. ``sweep`` and the golden digest sets run this many workers."""
+    none. The golden digest sets run this many workers."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -264,8 +236,10 @@ def _compute_set(which: str) -> tuple[Optional[float], dict]:
         ids, duration = GOLDEN_IDS, None
     else:
         raise ValueError("which must be 'short' or 'full'")
+    # artifacts stay off disk: a digest covers the result object only
     outcomes = run_cells(
-        [(name, GOLDEN_SEED, duration, {}) for name in ids], usable_cores()
+        [(name, GOLDEN_SEED, duration, {"out_dir": None}) for name in ids],
+        usable_cores(),
     )
     failed = [
         f"{name} ({error})" for name, (_, error, _) in zip(ids, outcomes) if error

@@ -29,7 +29,7 @@ def test_unknown_experiment_errors():
 
 
 def test_plots_artifacts(tmp_path, capsys):
-    assert main(["table5", "--plots", str(tmp_path)]) == 0
+    assert main(["table5", "--out", str(tmp_path)]) == 0
     artifact = tmp_path / "table5.txt"
     assert artifact.exists()
     text = artifact.read_text()
@@ -37,10 +37,44 @@ def test_plots_artifacts(tmp_path, capsys):
 
 
 def test_plots_include_ascii_series(tmp_path, capsys):
-    assert main(["figure6", "--plots", str(tmp_path)]) == 0
+    assert main(["figure6", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "figure6.txt").read_text()
     assert "util:none" in text
     assert "*" in text  # a plotted point
+
+
+def test_two_workers_print_what_one_prints(capsys):
+    """Plain cells come back in input order whatever the worker count."""
+    assert main(["table5", "sens_costs", "--jobs", "1"]) == 0
+    one = capsys.readouterr().out
+    assert main(["table5", "sens_costs", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == one
+    assert one.index("PCI Card-to-Card") < one.index("baseline avg frame")
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [([], {}), (["--seed", "42"], {"seed": 42})],
+    ids=["default", "42"],
+)
+def test_plain_cell_passes_only_the_given_seed(flags, kwargs, capsys):
+    """Without --seed a plain cell passes none, so figure9 runs at its own
+    default seed (0), not at the replicas' base seed (42)."""
+    assert main(["figure9", "--duration", "2000000", *flags]) == 0
+    want = REGISTRY["figure9"](duration_us=2e6, **kwargs).render()
+    assert capsys.readouterr().out == want + "\n\n"
+
+
+def test_failed_cell_is_reported_and_the_rest_print(capsys, monkeypatch):
+    def boom(seed=0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(REGISTRY, "boom", boom)
+    assert main(["boom", "table5"]) == 1
+    captured = capsys.readouterr()
+    assert "PCI Card-to-Card" in captured.out
+    assert "boom" not in captured.out
+    assert captured.err == "FAILED boom seed=None: RuntimeError: boom\n"
 
 
 def test_every_runner_keyword_is_pinned():

@@ -9,8 +9,8 @@ compared byte-for-byte against the checked-in ``golden_digests.json``. The
 ``full`` set is too slow for tier-1 — CI verifies it with
 ``python -m repro.experiments.golden --verify full`` — so here we only
 check its shape, and check :func:`golden.verify` itself against a faked
-:func:`golden.run_cells`. :func:`golden.run_cells`, the fan-out ``sweep``
-and both digest sets share, is checked on real cells.
+:func:`golden.run_cells`. :func:`golden.run_cells`, the fan-out the
+experiment CLI and both digest sets share, is checked on real cells.
 
 If one of these fails after an *intentional* behaviour change, refresh
 with::
@@ -27,8 +27,6 @@ import pytest
 
 from repro.experiments import REGISTRY, golden
 from repro.experiments.report import ExperimentResult
-from repro.sim import Environment
-from repro.sim.trace import Tracer
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -75,8 +73,10 @@ def test_short_digest_is_byte_identical(name):
     """
     goldens = golden.load_goldens()
     want = goldens["short"]["digests"][name]
-    got = golden.compute_digest(
-        name, seed=42, duration_us=golden.SHORT_DURATION_US, out_dir=None
+    got = golden.result_digest(
+        golden.compute_result(
+            name, seed=42, duration_us=golden.SHORT_DURATION_US, out_dir=None
+        )
     )
     assert got == want, (
         f"{name} drifted from its golden digest — simulated behaviour "
@@ -88,9 +88,9 @@ def test_short_digest_is_byte_identical(name):
 def test_compute_digest_is_deterministic():
     """Two in-process runs of the same experiment produce the same digest."""
     kwargs = dict(seed=42, duration_us=golden.SHORT_DURATION_US, out_dir=None)
-    assert golden.compute_digest("figure9", **kwargs) == golden.compute_digest(
-        "figure9", **kwargs
-    )
+    assert golden.result_digest(
+        golden.compute_result("figure9", **kwargs)
+    ) == golden.result_digest(golden.compute_result("figure9", **kwargs))
 
 
 def test_row_values_are_plain_floats():
@@ -136,8 +136,8 @@ class TestRunCells:
             self.CELLS[:2], pooled
         ):
             assert error is None
-            assert golden.result_digest(result) == golden.compute_digest(
-                name, seed, duration_us, **config
+            assert golden.result_digest(result) == golden.result_digest(
+                golden.compute_result(name, seed, duration_us, **config)
             )
 
     def test_one_and_two_workers_agree(self, pooled):
@@ -216,53 +216,3 @@ def test_cli_rejects_seed_with_verify():
     )
     assert proc.returncode == 2, proc.stderr
     assert "--seed" in proc.stderr
-
-
-# -- trace_digest ------------------------------------------------------------
-
-
-def _traced_run(order):
-    """A tiny deterministic sim emitting trace events in a given order."""
-    env = Environment()
-    tracer = Tracer(env)
-
-    def emitter(label, delay):
-        yield env.timeout(delay)
-        tracer.emit("test", label, step=delay)
-
-    for label, delay in order:
-        env.process(emitter(label, delay))
-    env.run()
-    return tracer
-
-
-class TestTraceDigest:
-    EVENTS = [("a", 10.0), ("b", 20.0), ("c", 30.0)]
-
-    def test_deterministic_across_runs(self):
-        d1 = golden.trace_digest(_traced_run(self.EVENTS))
-        d2 = golden.trace_digest(_traced_run(self.EVENTS))
-        assert d1 == d2
-
-    def test_insensitive_to_emission_order(self):
-        """Same events, different spawn (= emission) order: same digest."""
-        d1 = golden.trace_digest(_traced_run(self.EVENTS))
-        d2 = golden.trace_digest(_traced_run(list(reversed(self.EVENTS))))
-        assert d1 == d2
-
-    def test_sensitive_to_timestamps(self):
-        shifted = [(label, delay + 1.0) for label, delay in self.EVENTS]
-        assert golden.trace_digest(_traced_run(self.EVENTS)) != golden.trace_digest(
-            _traced_run(shifted)
-        )
-
-    def test_sensitive_to_field_values(self):
-        env = Environment()
-        t1, t2 = Tracer(env), Tracer(env)
-        t1.emit("test", "x", value=1)
-        t2.emit("test", "x", value=2)
-        assert golden.trace_digest(t1) != golden.trace_digest(t2)
-
-    def test_empty_tracers_agree(self):
-        env = Environment()
-        assert golden.trace_digest(Tracer(env)) == golden.trace_digest(Tracer(env))

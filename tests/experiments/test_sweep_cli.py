@@ -1,42 +1,44 @@
-"""The sweep CLI end to end: artifacts, determinism, failures, flag checks.
+"""Replicated runs of the experiment CLI end to end: artifacts,
+determinism, failures and flag checks.
 
 Kept cheap: `sens_costs` is the fastest registry experiment, so the
 matrix here is 2 seeds of it — enough to exercise the full path
-(job build → workers → merge → artifacts → summary line).
+(cell plan → workers → merge → artifacts → summary line).
 """
 
 import json
 
 import pytest
 
-from repro.experiments import REGISTRY, sweep
+from repro.experiments import REGISTRY, golden, sweep
+from repro.experiments.__main__ import main
 
 
-def sweep_argv(out, jobs):
-    return ["--experiments", "sens_costs", "--seeds", "2", "--jobs", str(jobs),
-            "--out", str(out)]
+def replica_argv(out, jobs):
+    return ["sens_costs", "--seeds", "2", "--jobs", str(jobs), "--out", str(out)]
 
 
 @pytest.fixture(scope="module")
 def one_worker(tmp_path_factory):
-    """The 2-seed matrix swept once on one worker; its output directory."""
+    """The 2-seed matrix run once on one worker; its output directory."""
     out = tmp_path_factory.mktemp("sweep-cli") / "one"
-    assert sweep.main(sweep_argv(out, jobs=1)) == 0
+    assert main(replica_argv(out, jobs=1)) == 0
     return out
 
 
 def test_cold_run_writes_artifacts_and_summary(one_worker):
     assert (one_worker / "SWEEP_result.txt").exists()
     report = json.loads((one_worker / "SWEEP_report.json").read_text())
-    assert report["argv"] == sweep_argv(one_worker, jobs=1)
+    assert report["argv"] == replica_argv(one_worker, jobs=1)
     assert report["summary"].startswith("sweep: 2 jobs (0 failed) workers=1 wall=")
     assert "speedup-est=" in report["summary"]
     assert [j["status"] for j in report["jobs"]] == ["ran", "ran"]
 
 
 def test_two_workers_are_byte_identical_to_one(one_worker, tmp_path, capsys):
-    assert sweep.main(sweep_argv(tmp_path, jobs=2)) == 0
-    assert "workers=2" in capsys.readouterr().out
+    assert main(replica_argv(tmp_path, jobs=2)) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith("sweep: 2 jobs (0 failed) workers=2")
     assert (tmp_path / "SWEEP_result.txt").read_text() == (
         one_worker / "SWEEP_result.txt"
     ).read_text()
@@ -44,20 +46,23 @@ def test_two_workers_are_byte_identical_to_one(one_worker, tmp_path, capsys):
 
 def test_merged_result_carries_ci_and_provenance(one_worker):
     text = (one_worker / "SWEEP_result.txt").read_text()
+    assert "== Sweep: replicate: sens_costs x 2 seeds (base 42) ==" in text
     assert "mean of 2 seeds, 95% CI" in text
     assert text.count("result digest") == 2  # one provenance note per job
+    assert "job sens_costs seed=43: result digest " in text
     assert "merged digest: " in text
 
 
 def test_out_none_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Without --out a replicated run writes nothing, not even the
+    artifacts observe writes on a plain run."""
     monkeypatch.chdir(tmp_path)
-    rc = sweep.main(
-        ["--experiments", "sens_costs", "--seeds", "1", "--jobs", "1", "--out", "none"]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "wrote" not in out
+    argv = ["sens_costs", "observe", "--duration", "1000000"]
+    assert main([*argv, "--seeds", "1"]) == 0
+    assert "wrote" not in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
+    assert main(argv) == 0  # a plain cell keeps the runner's own out_dir
+    assert (tmp_path / "out" / "observe" / "SLO_report.json").exists()
 
 
 def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatch):
@@ -66,13 +71,12 @@ def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatc
 
     # one in-process worker, so the patched registry is the one that runs
     monkeypatch.setitem(REGISTRY, "boom", boom)
-    rc = sweep.main(
-        ["--experiments", "sens_costs,boom", "--seeds", "1", "--jobs", "1",
-         "--out", str(tmp_path)]
+    rc = main(
+        ["sens_costs", "boom", "--seeds", "1", "--jobs", "1", "--out", str(tmp_path)]
     )
     captured = capsys.readouterr()
     assert rc == 1
-    assert "(1 failed)" in captured.out
+    assert "(1 failed)" in captured.out.splitlines()[-1]
     assert "FAILED boom seed=42: RuntimeError: boom" in captured.err
     text = (tmp_path / "SWEEP_result.txt").read_text()
     assert "job boom seed=42: FAILED (RuntimeError: boom)" in text
@@ -82,44 +86,68 @@ def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, token",
     [
-        ["--jobs", "0"],
-        ["--jobs", "-3"],
-        ["--seeds", "0"],
-        ["--seeds", "-2"],
-        ["--experiments", "bogus"],
-        ["cluster", "--nodes", "2,x"],
-        ["sensitivity", "--scales", "1.5,x"],
-        ["sensitivity", "--experiments", "sens_costs"],
-        ["sensitivity", "--nodes", "2"],
-        ["sensitivity", "--transports", "udp"],
-        ["--scales", "1.5"],
-        ["cluster", "--seeds", "3"],
-        ["scenarios", "--seeds", "2"],
-        ["--experiments", ","],
-        ["cluster", "--nodes", ","],
-        ["sensitivity", "--scales", ","],
-        ["transport", "--transports", ","],
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-3"], "--jobs"),
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-2"], "--seeds"),
+        (["sweep"], "sweep"),
+        (["cluster", "--set", "n_nodes=x"], "--set"),
+        (["sens_costs", "--set", "scale=1.5,x"], "--set"),
+        (["chaos", "--set", "n_nodes=2"], "--set"),
+        (["sens_costs", "--set", "transport=udp"], "--set"),
+        (["cluster", "--set", "scale=1.5"], "--set"),
+        (["table5", "--seeds", "2"], "--seeds"),
+        (["cluster", "--set", "n_nodes=,"], "--set"),
+        (["sens_costs", "--set", "scale="], "--set"),
+        (["chaos", "--set", "transport=,"], "--set"),
+        (["table5", "--set", "n_nodes=2"], "--set"),
+        (["cluster", "--set", "seed=1"], "--set"),
+        (["chaos", "--set", "scenarios=baseline"], "--set"),
+        (["cluster", "--set", "n_nodes"], "--set"),
+        (["chaos", "--transport", "ttp", "--set", "transport=tcp"], "--set"),
     ],
     ids=["jobs-0", "jobs-neg", "seeds-0", "seeds-neg", "unknown-id", "nodes-nan",
-         "scales-nan", "experiments-elsewhere", "nodes-elsewhere",
-         "transports-elsewhere", "scales-elsewhere", "seeds-in-cluster",
-         "seeds-in-scenarios", "experiments-empty", "nodes-empty",
-         "scales-empty", "transports-empty"],
+         "scales-nan", "nodes-elsewhere", "transports-elsewhere",
+         "scales-elsewhere", "seeds-elsewhere", "nodes-empty", "scales-empty",
+         "transports-empty", "set-in-table5", "set-owned-key",
+         "set-non-scalar-key", "set-no-values", "set-and-transport"],
 )
-def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, tmp_path, capsys):
-    """Each case fails on its own flag, which the error names: a flag the
-    chosen mode does not read is refused, not ignored."""
+def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, token, tmp_path, capsys):
+    """Each case fails on its own flag (or id), which the error names: an
+    axis flag an id does not take is refused, not ignored, and a --set
+    value that names nothing or does not parse stops the run."""
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as exc:
-        sweep.main(["--jobs", "1", "--duration", "1000000", "--out", str(out), *argv])
+        main(["--jobs", "1", "--duration", "1000000", "--out", str(out), *argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    flag = next(a for a in argv if a.startswith("--"))
-    assert flag in captured.err.splitlines()[-1]  # the error, not the usage
+    assert token in captured.err.splitlines()[-1]  # the error, not the usage
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key, values",
+    [("sens_costs", "scale", (1.25, 2.0)), ("table4", "transfers", (10, 100))],
+)
+def test_set_cell_digest_matches_compute_result(
+    experiment, key, values, tmp_path, capsys
+):
+    """Each --set cell runs exactly the runner call compute_result makes
+    with the same keyword, coerced to the type of the runner's default."""
+    text = ",".join(map(str, values))
+    assert main([experiment, "--set", f"{key}={text}", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "SWEEP_report.json").read_text())
+    assert [j["config"] for j in report["jobs"]] == [{key: v} for v in values]
+    for job, value in zip(report["jobs"], values):
+        want = golden.result_digest(
+            golden.compute_result(experiment, seed=42, out_dir=None, **{key: value})
+        )
+        assert job["result_digest"] == want
+    merged = (tmp_path / "SWEEP_result.txt").read_text()
+    assert f"{experiment} {key}={values[0]!r}: " in merged
 
 
 def test_label_names_the_cell():
@@ -140,21 +168,3 @@ def test_summary_line_contents():
     )
     idle = sweep.SweepReport(outcomes=[], wall_s=0.0, workers=1)
     assert idle.summary_line().endswith("speedup-est=0.00x")
-
-
-def test_job_matrices_shapes():
-    jobs = sweep.replicate_jobs(["a", "b"], seeds=3, seed_base=10)
-    assert len(jobs) == 6
-    assert [j.seed for j in jobs[:3]] == [10, 11, 12]
-    sens = sweep.sensitivity_jobs(scales=[1.5, 2.0], seeds=2)
-    assert [j.experiment for j in sens] == [
-        "sens_costs", "sens_costs", "sens_knockouts", "sens_knockouts"
-    ]
-    scen = sweep.scenario_jobs()
-    assert all(j.experiment in ("chaos", "failover", "cluster") for j in scen)
-    assert {j.experiment for j in scen} == {"chaos", "failover", "cluster"}
-    assert all(len(j.config["scenarios"]) == 1 for j in scen)
-    assert len({j.label for j in scen}) == len(scen)
-    clus = sweep.cluster_jobs(nodes=[2, 3], scenarios=("baseline",))
-    assert [j.config["n_nodes"] for j in clus] == [2, 3]
-    assert all(j.experiment == "cluster" for j in clus)

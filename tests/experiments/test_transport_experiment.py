@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import REGISTRY, chaos, failover
 from repro.experiments import golden
-from repro.experiments.sweep import transport_jobs
 from repro.experiments.transport import TRANSPORT_LOAD_LEVEL, transport
 from repro.net.transport import MediaTransportBooks
 
@@ -87,20 +86,3 @@ class TestRegistration:
     def test_in_golden_id_sets(self):
         assert "transport" in golden.GOLDEN_IDS
         assert "transport" in golden.SHORT_IDS
-
-    def test_sweep_jobs_cover_matrix_and_chaos(self):
-        jobs = transport_jobs()
-        exps = [(j.experiment, j.config) for j in jobs]
-        assert ("transport", {"transports": ["udp"]}) in exps
-        assert ("transport", {"transports": ["ttp"]}) in exps
-        assert any(
-            e == "chaos" and c.get("transport") == "ttp" for e, c in exps
-        )
-        # the raw path's chaos column is the existing golden chaos run
-        assert not any(
-            e == "chaos" and c.get("transport") == "udp" for e, c in exps
-        )
-
-    def test_sweep_jobs_reject_unknown_transport(self):
-        with pytest.raises(ValueError, match="valid transports"):
-            transport_jobs(transports=["quic"])
