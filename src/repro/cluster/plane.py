@@ -77,14 +77,6 @@ class ClusterPlane:
     def total_violations(self) -> int:
         return sum(node.service.total_violations for node in self.nodes)
 
-    @property
-    def total_frames_delivered(self) -> int:
-        return sum(
-            client.frames_received
-            for node in self.nodes
-            for client in node.service.clients.values()
-        )
-
     def node_named(self, name: str) -> ClusterNode:
         for node in self.nodes:
             if node.name == name:

@@ -8,7 +8,6 @@ the scheduler for microbenchmarks and live streaming.
 
 from .admission import AdmissionController, AdmissionDecision, mandatory_utilization
 from .attributes import StreamSpec, StreamState
-from .calendar import CalendarQueue, SortedList
 from .costs import DWCSCostModel
 from .dwcs import Decision, DWCSScheduler, SchedulerStats
 from .engine import MicrobenchEngine, MicrobenchResult, StreamingEngine
@@ -34,8 +33,6 @@ __all__ = [
     "SelectionStructure",
     "LinearScan",
     "DualHeaps",
-    "SortedList",
-    "CalendarQueue",
     "Entry",
     "compare_entries",
     "AdmissionController",

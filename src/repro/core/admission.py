@@ -130,16 +130,6 @@ class AdmissionController:
             raise KeyError(f"stream {stream_id!r} not admitted")
         self._suspended[stream_id] = self._admitted.pop(stream_id)
 
-    def resume(self, stream_id: str) -> bool:
-        """Re-admit one suspended stream if its share fits the bound."""
-        if stream_id not in self._suspended:
-            raise KeyError(f"stream {stream_id!r} not suspended")
-        share = self._suspended[stream_id]
-        if self.utilization + share > self.utilization_bound:
-            return False
-        self._admitted[stream_id] = self._suspended.pop(stream_id)
-        return True
-
     def resume_all(self) -> list[str]:
         """Re-admit suspended streams FIFO while headroom allows.
 

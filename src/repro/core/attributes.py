@@ -46,10 +46,6 @@ class StreamSpec:
         if not 0 <= self.loss_x <= self.loss_y:
             raise ValueError("need 0 <= x <= y in loss-tolerance x/y")
 
-    @property
-    def loss_tolerance(self) -> Fraction:
-        return Fraction(self.loss_x, self.loss_y)
-
 
 class StreamState:
     """Mutable per-stream scheduler state."""
@@ -96,18 +92,6 @@ class StreamState:
         # y_cur >= 1 is maintained by the adjustment rules; guard anyway so a
         # corrupted state fails loudly rather than dividing by zero.
         return Fraction(self.x_cur, max(1, self.y_cur))
-
-    def set_first_deadline(self, now_us: float) -> None:
-        """Anchor the stream's deadline sequence at first packet arrival."""
-        if not self.first_deadline_set:
-            self.deadline_us = now_us + self.spec.period_us
-            self.first_deadline_set = True
-
-    def advance_deadline(self) -> None:
-        """Move to the next packet's deadline (fixed offset per the paper)."""
-        if self.deadline_us is None:
-            raise RuntimeError("deadline not anchored yet")
-        self.deadline_us += self.spec.period_us
 
     def reset_window(self) -> None:
         self.x_cur = self.spec.loss_x

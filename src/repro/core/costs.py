@@ -56,17 +56,11 @@ class DWCSCostModel:
         ops.int_ops += self.decision_base_int_ops
         ops.branches += self.decision_base_branches
 
-    def charge_stream_examined(self, ops: OpCounter) -> None:
-        ops.int_ops += self.per_stream_int_ops
-        ops.branches += self.per_stream_branches
-        ops.mem_reads += self.per_stream_mem_reads
-
     def charge_streams_examined(self, ops: OpCounter, n: int) -> None:
-        """Batched form of :meth:`charge_stream_examined` for *n* streams.
+        """Charge the examination of *n* streams' descriptors.
 
         The per-stream charge is a constant delta, so a cohort of *n*
-        examinations is one multiply-accumulate instead of *n* calls —
-        totals are identical by construction.
+        examinations is one multiply-accumulate per category.
         """
         if n <= 0:
             return

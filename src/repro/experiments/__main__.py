@@ -130,6 +130,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
+        defaults = vars(parser.parse_args([]))
+        given = [
+            f"--{key}"
+            for key, value in vars(args).items()
+            if key not in ("experiments", "list") and value != defaults[key]
+        ]
+        if given:
+            parser.error(f"--list takes only experiment ids, not {', '.join(given)}")
         if args.experiments:
             unknown = [n for n in args.experiments if n not in REGISTRY]
             if unknown:
@@ -163,14 +171,18 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{flag} names nothing, got {text!r}")
         return items
 
+    def check_transports(flag: str, names: list[str]) -> None:
+        """Refuse a transport name the runners would refuse."""
+        try:
+            for tname in names:
+                resolve_transport(tname)
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
+
     scenario_names = listed("--scenarios", args.scenarios)
     transport_names = listed("--transport", args.transport)
     if transport_names is not None:
-        try:
-            for tname in transport_names:
-                resolve_transport(tname)
-        except ValueError as exc:
-            parser.error(str(exc))
+        check_transports("--transport", transport_names)
     axis = None
     if args.set is not None:
         axis, sep, text = args.set.partition("=")
@@ -179,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         if axis in _OWNED:
             parser.error(f"--set may not vary {axis}; {_OWNED[axis]} decides it")
         values = listed(f"--set {axis}", text)
+        if axis == "transport":
+            check_transports("--set transport", values)
     # every flag is checked against every named id before any of them runs
     planned = []
     for name in names:

@@ -48,13 +48,6 @@ class ArithmeticContext(ABC):
     def ratio(self, num: int, den: int) -> float:
         """Evaluate num/den (bandwidth shares, utilization fractions)."""
 
-    # -- shared helpers ------------------------------------------------------
-    def lt(self, a: Fraction, b: Fraction) -> bool:
-        return self.compare(a, b) < 0
-
-    def eq(self, a: Fraction, b: Fraction) -> bool:
-        return self.compare(a, b) == 0
-
 
 class SoftwareFloatContext(ArithmeticContext):
     """Arithmetic via (emulated) floating point.

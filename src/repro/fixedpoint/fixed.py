@@ -8,8 +8,6 @@ scheduler needs) fit comfortably in 16 fractional bits (resolution ≈1.5e-5).
 
 from __future__ import annotations
 
-from typing import Union
-
 __all__ = ["FixedQ16", "FRACTION_BITS", "SCALE"]
 
 FRACTION_BITS = 16
@@ -26,7 +24,7 @@ class FixedQ16:
     __slots__ = ("raw",)
 
     def __init__(self, raw: int) -> None:
-        """Build from a raw scaled integer. Use the ``from_*`` constructors."""
+        """Build from a raw scaled integer; :meth:`from_fraction` scales one."""
         if not isinstance(raw, int):
             raise TypeError("raw representation must be int")
         self.raw = self._saturate(raw)
@@ -36,15 +34,6 @@ class FixedQ16:
         return max(_RAW_MIN, min(_RAW_MAX, raw))
 
     # -- constructors ----------------------------------------------------------
-    @classmethod
-    def from_int(cls, value: int) -> "FixedQ16":
-        return cls(value << FRACTION_BITS if value >= 0 else -((-value) << FRACTION_BITS))
-
-    @classmethod
-    def from_float(cls, value: float) -> "FixedQ16":
-        """Host-side convenience (tests/verification); not used on the 'NI'."""
-        return cls(int(round(value * SCALE)))
-
     @classmethod
     def from_fraction(cls, num: int, den: int) -> "FixedQ16":
         """num/den as fixed point; exact shift when den is a power of two."""
@@ -58,55 +47,6 @@ class FixedQ16:
     # -- conversion ------------------------------------------------------------
     def to_float(self) -> float:
         return self.raw / SCALE
-
-    def to_int(self) -> int:
-        """Truncate toward negative infinity (arithmetic shift semantics)."""
-        return self.raw >> FRACTION_BITS
-
-    # -- arithmetic ---------------------------------------------------------------
-    def __add__(self, other: "FixedQ16") -> "FixedQ16":
-        return FixedQ16(self.raw + other.raw)
-
-    def __sub__(self, other: "FixedQ16") -> "FixedQ16":
-        return FixedQ16(self.raw - other.raw)
-
-    def __mul__(self, other: "FixedQ16") -> "FixedQ16":
-        return FixedQ16((self.raw * other.raw) >> FRACTION_BITS)
-
-    def shift_div(self, power: int) -> "FixedQ16":
-        """Divide by 2**power via arithmetic shift (the paper's idiom)."""
-        if power < 0:
-            raise ValueError("shift amount must be non-negative")
-        return FixedQ16(self.raw >> power)
-
-    def __truediv__(self, other: "FixedQ16") -> "FixedQ16":
-        if other.raw == 0:
-            raise ZeroDivisionError("fixed-point division by zero")
-        return FixedQ16((self.raw << FRACTION_BITS) // other.raw)
-
-    def __neg__(self) -> "FixedQ16":
-        return FixedQ16(-self.raw)
-
-    # -- comparisons -----------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FixedQ16):
-            return NotImplemented
-        return self.raw == other.raw
-
-    def __lt__(self, other: "FixedQ16") -> bool:
-        return self.raw < other.raw
-
-    def __le__(self, other: "FixedQ16") -> bool:
-        return self.raw <= other.raw
-
-    def __gt__(self, other: "FixedQ16") -> bool:
-        return self.raw > other.raw
-
-    def __ge__(self, other: "FixedQ16") -> bool:
-        return self.raw >= other.raw
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
 
     def __repr__(self) -> str:
         return f"FixedQ16({self.to_float():.5f})"

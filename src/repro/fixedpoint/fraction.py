@@ -5,20 +5,16 @@ and denominator with divisions implemented as shifts"* and *"the scheduler
 operations require fractional values to one or two decimal places
 (implemented easily with a structure representing a fraction)"*.
 
-``Fraction`` here is that structure: two machine integers, compared by
-cross-multiplication so no division is ever needed for the scheduler's
-ordering decisions (which is where DWCS spends its arithmetic — comparing
-window-constraints x'/y').
+``Fraction`` here is that structure: two machine integers. The arithmetic
+contexts (:mod:`repro.fixedpoint.context`) read ``num`` and ``den``; the
+fixed-point one compares two fractions by cross-multiplication, so no
+division is ever needed for the scheduler's ordering decisions (which is
+where DWCS spends its arithmetic — comparing window-constraints x'/y').
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Union
-
 __all__ = ["Fraction"]
-
-Number = Union[int, float, "Fraction"]
 
 
 class Fraction:
@@ -27,7 +23,6 @@ class Fraction:
     Deliberately *not* auto-normalizing: DWCS window constraints keep their
     raw (x', y') representation because the pair itself carries meaning
     (numerator = losses still tolerable, denominator = window remaining).
-    Use :meth:`normalized` when a canonical form is wanted.
     """
 
     __slots__ = ("num", "den")
@@ -41,62 +36,6 @@ class Fraction:
             raise ValueError(f"numerator must be non-negative, got {num}")
         self.num = num
         self.den = den
-
-    # -- conversion -----------------------------------------------------------
-    @property
-    def value(self) -> float:
-        """Floating-point value (for reporting only, never for scheduling)."""
-        return self.num / self.den
-
-    def normalized(self) -> "Fraction":
-        g = gcd(self.num, self.den)
-        return Fraction(self.num // g, self.den // g) if g > 1 else self
-
-    # -- exact comparisons (cross-multiplication: two int multiplies) ---------
-    def _cmp(self, other: "Fraction") -> int:
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fraction):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __lt__(self, other: "Fraction") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Fraction") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Fraction") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Fraction") -> bool:
-        return self._cmp(other) >= 0
-
-    def __hash__(self) -> int:
-        n = self.normalized()
-        return hash((n.num, n.den))
-
-    # -- arithmetic --------------------------------------------------------------
-    def __add__(self, other: "Fraction") -> "Fraction":
-        return Fraction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "Fraction") -> "Fraction":
-        num = self.num * other.den - other.num * self.den
-        if num < 0:
-            raise ValueError("Fraction subtraction went negative")
-        return Fraction(num, self.den * other.den)
-
-    def __mul__(self, other: "Fraction") -> "Fraction":
-        return Fraction(self.num * other.num, self.den * other.den)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __bool__(self) -> bool:
-        return self.num != 0
 
     def __repr__(self) -> str:
         return f"Fraction({self.num}/{self.den})"

@@ -26,26 +26,15 @@ from dataclasses import dataclass
 
 __all__ = ["OpCounter"]
 
-#: field names in declaration order — also the layout of :meth:`as_tuple`.
-#: Kept as a static tuple so the hot accumulation paths (one ``add`` per
-#: scheduling cycle, plus a copy and a delta) skip ``dataclasses.fields``
-#: reflection entirely.
-_FIELDS = (
-    "int_ops",
-    "fp_ops",
-    "shifts",
-    "divides",
-    "mem_reads",
-    "mem_writes",
-    "mmio_reads",
-    "mmio_writes",
-    "branches",
-)
-
 
 @dataclass
 class OpCounter:
-    """Mutable tally of abstract machine operations."""
+    """Mutable tally of abstract machine operations.
+
+    The methods name every field rather than reflect over
+    ``dataclasses.fields``: ``add``, ``copy`` and ``snapshot_delta`` run on
+    every scheduling cycle.
+    """
 
     int_ops: int = 0
     fp_ops: int = 0
@@ -69,15 +58,6 @@ class OpCounter:
         self.mmio_writes += other.mmio_writes
         self.branches += other.branches
 
-    def __iadd__(self, other: "OpCounter") -> "OpCounter":
-        self.add(other)
-        return self
-
-    def __add__(self, other: "OpCounter") -> "OpCounter":
-        result = self.copy()
-        result.add(other)
-        return result
-
     def copy(self) -> "OpCounter":
         return OpCounter(
             self.int_ops,
@@ -91,16 +71,12 @@ class OpCounter:
             self.branches,
         )
 
-    def reset(self) -> None:
-        for name in _FIELDS:
-            setattr(self, name, 0)
-
     def total(self) -> int:
         """Total operation count across all classes."""
         return sum(self.as_tuple())
 
     def as_tuple(self) -> tuple[int, ...]:
-        """The tally as a tuple in ``_FIELDS`` order (hashable cache key)."""
+        """The tally as a tuple in field declaration order (hashable cache key)."""
         return (
             self.int_ops,
             self.fp_ops,
@@ -126,6 +102,3 @@ class OpCounter:
             self.mmio_writes - since.mmio_writes,
             self.branches - since.branches,
         )
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _FIELDS}

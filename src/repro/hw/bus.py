@@ -78,11 +78,6 @@ class Bus:
             obs.count("bus.transactions", bus=self.name)
         return self.env.now - start
 
-    # -- introspection -------------------------------------------------------
-    @property
-    def queue_length(self) -> int:
-        return self._lock.queue_length
-
     def __repr__(self) -> str:
         return (
             f"<Bus {self.name!r} {self.bandwidth_mb_s:g}MB/s "

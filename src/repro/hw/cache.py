@@ -63,10 +63,6 @@ class DataCache:
             return self.base_hit_ratio
         return self.base_hit_ratio * (self.size_bytes / working_set_bytes)
 
-    def flush(self) -> None:
-        """Invalidate contents (modelled as a no-op on timing; the next
-        accesses are covered by the steady-state ratio)."""
-
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
         return f"<DataCache {self.size_bytes}B {state} hit={self.base_hit_ratio:.2f}>"

@@ -87,12 +87,6 @@ class ObservabilityPlane:
         self.env.hooks_changed()
         return self
 
-    def uninstall(self) -> None:
-        """Clear the hook slot (back to the uninstrumented ``None``)."""
-        if self.env.obs is self:
-            self.env.obs = None
-            self.env.hooks_changed()
-
     # -- spans ----------------------------------------------------------------
     def begin(
         self,
@@ -128,10 +122,6 @@ class ObservabilityPlane:
     # -- convenience -------------------------------------------------------------
     def span_events(self):
         return self.tracer.events(category=SPAN_CATEGORY)
-
-    def cluster_events(self):
-        """Control-plane spans (admission/placement/failover stitching)."""
-        return self.tracer.events(category=CLUSTER_CATEGORY)
 
     def publish_queue_stats(self) -> None:
         """Export the event queue's pending depth as a gauge.

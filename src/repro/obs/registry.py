@@ -130,12 +130,6 @@ class MetricsRegistry:
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
 
-    # -- declaration ---------------------------------------------------------
-    def declare_histogram(self, name: str, buckets: tuple[float, ...]) -> None:
-        """Pin custom buckets for *name* before (or after first) use."""
-        self._check_kind(name, "histogram")
-        self._buckets[name] = tuple(buckets)
-
     def _check_kind(self, name: str, kind: str) -> None:
         bound = self._kinds.get(name)
         if bound is None:
@@ -173,9 +167,6 @@ class MetricsRegistry:
         if gauge is None:
             gauge = self._series(name, "gauge", labels, self._gauges)
         gauge.set(value)
-
-    def gauge_add(self, name: str, delta: float, **labels: Any) -> None:
-        self.gauge(name, self.value(name, **labels) + delta, **labels)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         histogram = self._histograms.get((name, *labels.items()))

@@ -94,10 +94,6 @@ class OSKernel:
                 total += max(0.0, self.env.now - self._slice_started[i])
         return total
 
-    @property
-    def ready_queue_length(self) -> int:
-        return len(self._ready)
-
     # -- submission -------------------------------------------------------------
     def _submit(self, task: Task, amount_us: float) -> Event:
         # runs once per compute(), so _wake_idle is inlined

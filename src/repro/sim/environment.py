@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
 from .rng import RandomStreams
 
@@ -93,34 +93,21 @@ class Environment:
         #: components that cached the hook slots above and need a re-resolve
         #: whenever a plane binds or unbinds (see :meth:`hooks_changed`)
         self._hook_watchers: list[Callable[["Environment"], None]] = []
-        # Shadow the factory methods with C-level partials: event/timeout/
-        # process are called hundreds of thousands of times per run, and the
-        # pure-Python wrapper frame is measurable. The methods below remain
-        # as documentation and as the uncached (class-level) fallback.
+        # The factories are C-level partials, not methods: they are called
+        # hundreds of thousands of times per run, and a pure-Python wrapper
+        # frame is measurable.
+        #: ``event(name=None)``: a fresh, untriggered event
         self.event = partial(Event, self)
+        #: ``timeout(delay, value=None, name=None)``: an event that triggers
+        #: ``delay`` µs from now
         self.timeout = partial(Timeout, self)
+        #: ``process(generator, name=None)``: spawn *generator* as a process
+        #: starting at the current time
         self.process = partial(Process, self)
 
     # -- factories ----------------------------------------------------------
-    def event(self, name: Optional[str] = None) -> Event:
-        """Create a fresh, untriggered event."""
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` µs from now."""
-        return Timeout(self, delay, value=value)
-
-    def process(
-        self, generator: Generator[Event, Any, Any], name: Optional[str] = None
-    ) -> Process:
-        """Spawn *generator* as a new process starting at the current time."""
-        return Process(self, generator, name=name)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

@@ -59,11 +59,6 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._state == 0  # PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
     # -- interruption --------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.

@@ -196,11 +196,6 @@ class Tracer:
             out[e.category] = out.get(e.category, 0) + 1
         return out
 
-    def to_jsonl(self) -> str:
-        """JSON-lines export (one event per line, newline-terminated so
-        concatenated exports stay one-event-per-line)."""
-        return "".join(json.dumps(e.to_dict()) + "\n" for e in self._events)
-
     def dump(self, path) -> int:
         """Stream the retained events to *path* as JSONL; returns the count.
 

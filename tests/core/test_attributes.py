@@ -3,17 +3,16 @@
 import pytest
 
 from repro.core import StreamSpec, StreamState
-from repro.fixedpoint import Fraction
 
 
 class TestStreamSpec:
     def test_basic(self):
         spec = StreamSpec("s1", period_us=40_000.0, loss_x=1, loss_y=4)
-        assert spec.loss_tolerance == Fraction(1, 4)
+        assert (spec.loss_x, spec.loss_y) == (1, 4)
 
     def test_zero_loss_tolerance_allowed(self):
         spec = StreamSpec("s1", period_us=1000.0, loss_x=0, loss_y=5)
-        assert spec.loss_tolerance.is_zero()
+        assert (spec.loss_x, spec.loss_y) == (0, 5)
 
     def test_full_loss_tolerance_allowed(self):
         StreamSpec("s1", period_us=1000.0, loss_x=3, loss_y=3)
@@ -42,24 +41,7 @@ class TestStreamState:
     def test_initial_window_matches_spec(self):
         st = StreamState(self.spec(2, 5))
         assert (st.x_cur, st.y_cur) == (2, 5)
-        assert st.constraint == Fraction(2, 5)
-
-    def test_first_deadline_anchoring(self):
-        st = StreamState(self.spec())
-        st.set_first_deadline(500.0)
-        assert st.deadline_us == 1500.0
-        st.set_first_deadline(9999.0)  # idempotent
-        assert st.deadline_us == 1500.0
-
-    def test_advance_deadline(self):
-        st = StreamState(self.spec())
-        st.set_first_deadline(0.0)
-        st.advance_deadline()
-        assert st.deadline_us == 2000.0
-
-    def test_advance_before_anchor_raises(self):
-        with pytest.raises(RuntimeError):
-            StreamState(self.spec()).advance_deadline()
+        assert (st.constraint.num, st.constraint.den) == (2, 5)
 
     def test_reset_window(self):
         st = StreamState(self.spec(2, 5))

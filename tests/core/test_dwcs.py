@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core import (
-    CalendarQueue,
     DualHeaps,
     DWCSScheduler,
     LinearScan,
-    SortedList,
     StreamSpec,
 )
 from repro.fixedpoint import FixedPointContext, OpCounter, SoftwareFloatContext
@@ -320,7 +318,7 @@ class TestBookkeeping:
         assert s.ops.total() > before
 
     @pytest.mark.parametrize("miss_scan", ["descriptor-loop", "structure"])
-    @pytest.mark.parametrize("factory", [DualHeaps, LinearScan, SortedList, CalendarQueue])
+    @pytest.mark.parametrize("factory", [DualHeaps, LinearScan])
     def test_empty_cycle_charges_only_the_decision_base(self, factory, miss_scan):
         s = sched(selection_factory=factory, miss_scan=miss_scan, work_conserving=False)
         s.add_stream(StreamSpec("s1", period_us=1000.0, loss_x=1, loss_y=2))

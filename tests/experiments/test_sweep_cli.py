@@ -107,17 +107,23 @@ def test_failed_cell_is_reported_and_the_rest_merge(tmp_path, capsys, monkeypatc
         (["chaos", "--set", "scenarios=baseline"], "--set"),
         (["cluster", "--set", "n_nodes"], "--set"),
         (["chaos", "--transport", "ttp", "--set", "transport=tcp"], "--set"),
+        (["chaos", "--set", "transport=quic"], "--set"),
+        (["--list", "--jobs", "0"], "--list"),
+        (["--list", "--seeds", "0"], "--list"),
+        (["--list", "--set", "n_nodes"], "--list"),
     ],
     ids=["jobs-0", "jobs-neg", "seeds-0", "seeds-neg", "unknown-id", "nodes-nan",
          "scales-nan", "nodes-elsewhere", "transports-elsewhere",
          "scales-elsewhere", "seeds-elsewhere", "nodes-empty", "scales-empty",
          "transports-empty", "set-in-table5", "set-owned-key",
-         "set-non-scalar-key", "set-no-values", "set-and-transport"],
+         "set-non-scalar-key", "set-no-values", "set-and-transport",
+         "set-unknown-transport", "list-jobs", "list-seeds", "list-set"],
 )
 def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, token, tmp_path, capsys):
     """Each case fails on its own flag (or id), which the error names: an
-    axis flag an id does not take is refused, not ignored, and a --set
-    value that names nothing or does not parse stops the run."""
+    axis flag an id does not take is refused, not ignored, a --set value
+    that names nothing, does not parse or names an unknown transport stops
+    the run, and --list refuses every flag but experiment ids."""
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "1", "--duration", "1000000", "--out", str(out), *argv])
@@ -126,6 +132,17 @@ def test_bad_count_or_id_exits_2_before_any_cell_runs(argv, token, tmp_path, cap
     assert captured.out == ""
     assert token in captured.err.splitlines()[-1]  # the error, not the usage
     assert not out.exists()
+
+
+def test_set_value_the_runner_refuses_fails_when_its_cell_runs(capsys):
+    """Beyond transport names, a --set value is checked only for its type."""
+    assert main(["cluster", "--set", "n_nodes=1", "--duration", "1000000"]) == 1
+    failed = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("FAILED ")
+    ]
+    assert len(failed) == 1
+    assert failed[0].endswith("a cluster plane needs at least two nodes")
 
 
 @pytest.mark.parametrize(

@@ -41,10 +41,6 @@ class TestDecisionEquivalence:
                         assert sw.compare(a, b) == fx.compare(a, b)
                         assert sw.is_zero(a) == fx.is_zero(a)
 
-    def test_lt_eq_helpers(self, ctx):
-        assert ctx.lt(Fraction(1, 3), Fraction(1, 2))
-        assert ctx.eq(Fraction(1, 2), Fraction(2, 4))
-
     def test_is_zero(self, ctx):
         assert ctx.is_zero(Fraction(0, 3))
         assert not ctx.is_zero(Fraction(1, 3))
@@ -86,24 +82,11 @@ class TestOpAccounting:
 
 
 class TestOpCounter:
-    def test_add_and_iadd(self):
-        a = OpCounter(int_ops=1, fp_ops=2)
-        b = OpCounter(int_ops=10, mem_reads=5)
-        c = a + b
-        assert (c.int_ops, c.fp_ops, c.mem_reads) == (11, 2, 5)
-        a += b
-        assert a.int_ops == 11
-
     def test_copy_is_independent(self):
         a = OpCounter(int_ops=1)
         b = a.copy()
         b.int_ops += 1
         assert a.int_ops == 1
-
-    def test_reset(self):
-        a = OpCounter(int_ops=5, branches=2)
-        a.reset()
-        assert a.total() == 0
 
     def test_snapshot_delta(self):
         a = OpCounter(int_ops=10, shifts=4)
@@ -116,4 +99,3 @@ class TestOpCounter:
     def test_total_and_as_dict(self):
         a = OpCounter(int_ops=1, fp_ops=2, mmio_reads=3)
         assert a.total() == 6
-        assert a.as_dict()["mmio_reads"] == 3

@@ -3,13 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fixedpoint import (
-    SCALE,
-    FixedPointContext,
-    FixedQ16,
-    Fraction,
-    SoftwareFloatContext,
-)
+from repro.fixedpoint import FixedPointContext, Fraction, SoftwareFloatContext
 
 fractions = st.builds(
     Fraction,
@@ -23,54 +17,9 @@ def test_fraction_ordering_matches_exact_rationals(a, b):
     from fractions import Fraction as PyFraction
 
     pa, pb = PyFraction(a.num, a.den), PyFraction(b.num, b.den)
-    assert (a < b) == (pa < pb)
-    assert (a == b) == (pa == pb)
-    assert (a > b) == (pa > pb)
-
-
-@given(fractions, fractions)
-def test_fraction_add_mul_match_exact_rationals(a, b):
-    from fractions import Fraction as PyFraction
-
-    pa, pb = PyFraction(a.num, a.den), PyFraction(b.num, b.den)
-    s, m = a + b, a * b
-    assert PyFraction(s.num, s.den) == pa + pb
-    assert PyFraction(m.num, m.den) == pa * pb
+    assert FixedPointContext().compare(a, b) == (pa > pb) - (pa < pb)
 
 
 @given(fractions, fractions)
 def test_contexts_always_agree_on_comparison(a, b):
     assert SoftwareFloatContext().compare(a, b) == FixedPointContext().compare(a, b)
-
-
-@given(st.integers(min_value=-(1 << 14), max_value=1 << 14))
-def test_fixed_int_roundtrip(value):
-    assert FixedQ16.from_int(value).to_int() == value
-
-
-@given(
-    # keep x+y inside Q16.16's ±32768 range so saturation never kicks in
-    st.floats(min_value=-16000.0, max_value=16000.0, allow_nan=False),
-    st.floats(min_value=-16000.0, max_value=16000.0, allow_nan=False),
-)
-def test_fixed_add_tracks_float_within_quantum(x, y):
-    fx = FixedQ16.from_float(x) + FixedQ16.from_float(y)
-    assert abs(fx.to_float() - (x + y)) <= 2.0 / SCALE
-
-
-@given(
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=0, max_value=10),
-)
-def test_shift_div_is_division_by_power_of_two(value, power):
-    fx = FixedQ16.from_int(value).shift_div(power)
-    assert fx.to_float() == value / (2**power)
-
-
-@given(fractions)
-def test_normalized_preserves_value(f):
-    n = f.normalized()
-    assert n == f
-    from math import gcd
-
-    assert gcd(n.num, n.den) in (1, n.num or 1)

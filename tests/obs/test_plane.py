@@ -1,4 +1,4 @@
-"""ObservabilityPlane: install/uninstall, span/instant/metric delegation."""
+"""ObservabilityPlane: install, span/instant/metric delegation."""
 
 from repro.obs import ObservabilityPlane
 from repro.obs.plane import EVENT_CATEGORY, SPAN_CATEGORY
@@ -14,15 +14,6 @@ class TestInstall:
         env = Environment()
         plane = ObservabilityPlane(env).install()
         assert env.obs is plane
-        plane.uninstall()
-        assert getattr(env, "obs", None) is None
-
-    def test_uninstall_leaves_other_plane_alone(self):
-        env = Environment()
-        first = ObservabilityPlane(env).install()
-        second = ObservabilityPlane(env).install()
-        first.uninstall()  # no longer the bound plane: must not unbind
-        assert env.obs is second
 
 
 class TestSpans:

@@ -102,7 +102,10 @@ class TestCostModelHelpers:
         costs = DWCSCostModel()
         for charge, expect in (
             (costs.charge_decision_base, ("int_ops", "branches")),
-            (costs.charge_stream_examined, ("int_ops", "branches", "mem_reads")),
+            (
+                lambda ops: costs.charge_streams_examined(ops, 1),
+                ("int_ops", "branches", "mem_reads"),
+            ),
             (costs.charge_adjustment, ("int_ops", "mem_reads", "mem_writes")),
             (costs.charge_dispatch, ("int_ops", "branches", "mem_reads", "mem_writes")),
         ):

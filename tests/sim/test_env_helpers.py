@@ -12,13 +12,6 @@ def test_all_of_helper():
     assert env.now == 7.0
 
 
-def test_any_of_helper():
-    env = Environment()
-    cond = env.any_of([env.timeout(3.0), env.timeout(7.0)])
-    env.run(until=cond)
-    assert env.now == 3.0
-
-
 def test_event_factory_names():
     env = Environment()
     ev = env.event(name="custom")

@@ -61,21 +61,12 @@ class TestTracer:
         env.run()
         assert [e.name for e in t.events(start_us=0, end_us=5)] == ["early"]
 
-    def test_jsonl_export(self, env):
+    def test_jsonl_export(self, env, tmp_path):
         t = Tracer(env)
         t.emit("c", "e", value=3)
-        lines = t.to_jsonl().splitlines()
+        t.dump(tmp_path / "events.jsonl")
+        lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert json.loads(lines[0]) == {"t": 0.0, "cat": "c", "name": "e", "value": 3}
-
-    def test_jsonl_newline_terminated(self, env):
-        t = Tracer(env)
-        assert t.to_jsonl() == ""  # no events, no stray newline
-        t.emit("c", "a")
-        t.emit("c", "b")
-        text = t.to_jsonl()
-        assert text.endswith("\n")
-        # concatenating two exports must stay one-event-per-line
-        assert len((text + text).splitlines()) == 4
 
     def test_reserved_payload_keys_namespaced(self, env):
         t = Tracer(env)
@@ -202,7 +193,7 @@ class TestSpans:
         assert list(begin.fields) == ["stream", "seq", "ph", "span", "parent"]
         assert list(end.fields) == ["bytes", "ph", "span"]
 
-    def test_plane_span_payload_key_order(self, env):
+    def test_plane_span_payload_key_order(self, env, tmp_path):
         # the JSONL export writes payload keys in insertion order (and the
         # Perfetto args follow the same dicts), so the order is pinned:
         # caller fields, then track, ph, span, parent
@@ -213,7 +204,8 @@ class TestSpans:
         _, begin, end = plane.tracer.events()
         assert list(begin.fields) == ["stream", "seq", "track", "ph", "span", "parent"]
         assert list(end.fields) == ["bytes", "ph", "span"]
-        lines = plane.tracer.to_jsonl().splitlines()
+        plane.tracer.dump(tmp_path / "spans.jsonl")
+        lines = (tmp_path / "spans.jsonl").read_text().splitlines()
         assert lines[1] == (
             '{"t": 0.0, "cat": "span", "name": "read", "stream": "s1", '
             '"seq": 3, "track": "disk:sd0", "ph": "B", "span": 2, "parent": 1}'
@@ -240,7 +232,6 @@ class TestDump:
         path = tmp_path / "events.jsonl"
         assert t.dump(path) == 4
         text = path.read_text()
-        assert text == t.to_jsonl()
         assert text.endswith("\n")
         assert [json.loads(line)["i"] for line in text.splitlines()] == [0, 1, 2, 3]
 
