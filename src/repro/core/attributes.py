@@ -55,7 +55,6 @@ class StreamState:
         "x_cur",
         "y_cur",
         "deadline_us",
-        "first_deadline_set",
         "serviced",
         "dropped",
         "sent_late",
@@ -73,7 +72,6 @@ class StreamState:
         #: head-of-line packet's deadline (absolute sim time, µs); set when
         #: the first packet arrives
         self.deadline_us: Optional[float] = None
-        self.first_deadline_set = False
         self.serviced = 0
         self.dropped = 0
         self.sent_late = 0
@@ -106,7 +104,6 @@ class StreamState:
         "x_cur",
         "y_cur",
         "deadline_us",
-        "first_deadline_set",
         "serviced",
         "dropped",
         "sent_late",

@@ -238,8 +238,10 @@ class StreamingEngine:
                     obs.end(sp)
                 env.process(self.transmit(decision.serviced))
                 self._record_dispatch(decision)
-            elif self.scheduler.backlog == 0 or decision.idle_until is not None:
+            elif not self.scheduler._entries or decision.idle_until is not None:
                 # Nothing to send: sleep until a release or a new arrival.
+                # DWCS keeps a head-of-line entry exactly for each non-empty
+                # queue: no entry means an empty backlog, with no recount.
                 if decision.idle_until is not None and decision.idle_until > env.now:
                     delay = decision.idle_until - env.now
                 else:

@@ -154,7 +154,7 @@ def observe(
 
     if out_dir is not None:
         written = write_observe_artifacts(
-            out_dir, [(orun.kind, orun.plane) for orun in observed]
+            out_dir, [(orun.kind, orun.plane, orun.breakdown) for orun in observed]
         )
         slo_txt = os.path.join(out_dir, "SLO_report.txt")
         with open(slo_txt, "w", encoding="utf-8") as fh:

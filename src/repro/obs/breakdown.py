@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from ..sim.trace import TraceEvent
 
@@ -56,25 +56,32 @@ def percentile(sorted_values: list[float], pct: float) -> float:
 
 class CompletedSpan(NamedTuple):
     """A begin/end pair folded into one record (an immutable tuple, like
-    :class:`~repro.sim.trace.TraceEvent`)."""
+    :class:`~repro.sim.trace.TraceEvent`).
+
+    It holds the begin and end payloads by reference, the same dicts the
+    trace ring holds, so a folded span adds one tuple and copies nothing;
+    :attr:`fields` merges them only when asked."""
 
     span_id: int
     hop: str
     begin_us: float
     end_us: float
-    fields: dict[str, Any]
+    stream: Optional[str]
+    seq: Optional[int]
+    begin_fields: Mapping[str, Any]
+    end_fields: Mapping[str, Any]
 
     @property
     def duration_us(self) -> float:
         return self.end_us - self.begin_us
 
     @property
-    def stream(self) -> Optional[str]:
-        return self.fields.get("stream")
-
-    @property
-    def seq(self) -> Optional[int]:
-        return self.fields.get("seq")
+    def fields(self) -> dict[str, Any]:
+        """Both payloads merged, end over begin, without ``ph``/``span``."""
+        merged = {**self.begin_fields, **self.end_fields}
+        # both carry ph and span; the rest keep first-seen order
+        del merged["ph"], merged["span"]
+        return merged
 
 
 @dataclass
@@ -161,19 +168,23 @@ class LatencyBreakdown:
     def _fold(self, events: Iterable[TraceEvent]) -> None:
         open_spans: dict[int, TraceEvent] = {}
         for ev in events:
-            ph = ev.fields.get("ph")
-            sid = ev.fields.get("span")
+            fields = ev.fields
+            ph = fields.get("ph")
+            sid = fields.get("span")
             if ph == "B" and sid is not None:
                 open_spans[sid] = ev
             elif ph == "E" and sid is not None:
                 begin = open_spans.pop(sid, None)
                 if begin is None:
                     continue  # begin fell off the ring; duration unknowable
-                # both carry ph and span; the rest keep first-seen order
-                merged = {**begin.fields, **ev.fields}
-                del merged["ph"], merged["span"]
+                opened = begin.fields
+                # stream and seq as the merged payload reads them: end over begin
+                stream = fields.get("stream", opened.get("stream"))
+                seq = fields.get("seq", opened.get("seq"))
                 self.spans.append(
-                    CompletedSpan(sid, begin.name, begin.time_us, ev.time_us, merged)
+                    CompletedSpan(
+                        sid, begin.name, begin.time_us, ev.time_us, stream, seq, opened, fields
+                    )
                 )
         self.unfinished = len(open_spans)
 

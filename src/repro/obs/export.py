@@ -173,11 +173,13 @@ def render_metrics_snapshot(registry: "MetricsRegistry") -> str:
 
 
 def write_observe_artifacts(
-    out_dir: str, runs: Iterable[tuple[str, "ObservabilityPlane"]]
+    out_dir: str,
+    runs: Iterable[tuple[str, "ObservabilityPlane", LatencyBreakdown]],
 ) -> list[str]:
     """Write the full artifact set per instrumented run.
 
-    For each ``(label, plane)``: ``trace_<label>.json`` (Perfetto),
+    For each ``(label, plane, breakdown)``, *breakdown* being the plane's
+    span events already folded: ``trace_<label>.json`` (Perfetto),
     ``events_<label>.jsonl`` (raw ring), ``breakdown_<label>.csv``,
     ``metrics_<label>.json``. Returns the written paths in order.
     """
@@ -190,12 +192,11 @@ def write_observe_artifacts(
             fh.write(content)
         written.append(path)
 
-    for label, plane in runs:
+    for label, plane, breakdown in runs:
         _write(f"trace_{label}.json", render_chrome_trace(plane.tracer, label=label))
         jsonl_path = os.path.join(out_dir, f"events_{label}.jsonl")
         plane.tracer.dump(jsonl_path)
         written.append(jsonl_path)
-        breakdown = LatencyBreakdown(plane.span_events(), label=label)
         _write(f"breakdown_{label}.csv", render_breakdown_csv(breakdown))
         _write(f"metrics_{label}.json", render_metrics_snapshot(plane.registry))
     return written

@@ -14,7 +14,10 @@ no plane attached every datapath hook costs one plain attribute load (no
 category filtered out, ``begin`` returns ``None`` after one set-membership
 test and ``end(None)`` after one ``None`` test; the call and its keyword
 dict are all they cost. A recorded span event allocates that dict, as its
-payload, and one tuple.
+payload, and one ``TraceEvent`` tuple; an open span is tracked by a
+reference to its begin event, and
+:class:`~repro.obs.breakdown.LatencyBreakdown` folds a finished pair into
+one more tuple that holds both payloads by reference.
 
 Span events live in category ``"span"``; instant markers (crashes,
 failovers, drops) in ``"event"``. Both ride the ordinary

@@ -38,15 +38,11 @@ def _label_key(labels: dict[str, Any]) -> LabelKey:
 
 @dataclass
 class Counter:
-    """Monotonically increasing count (frames sent, faults injected...)."""
+    """Monotonically increasing count (frames sent, faults injected...);
+    :meth:`MetricsRegistry.count` refuses a negative amount."""
 
     name: str
     value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
 
     def snapshot(self) -> float:
         return self.value
@@ -123,8 +119,6 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
         # name -> {label_key: metric}
         self._metrics: dict[str, dict[LabelKey, Any]] = {}
-        # name -> histogram bucket override
-        self._buckets: dict[str, tuple[float, ...]] = {}
         # (name, *labels.items()) -> metric; per kind, so a kind clash misses
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
@@ -150,7 +144,7 @@ class MetricsRegistry:
             elif kind == "gauge":
                 metric = Gauge(name)
             else:
-                metric = Histogram(name, buckets=self._buckets.get(name, DEFAULT_BUCKETS_US))
+                metric = Histogram(name)
             series[key] = metric
         cache[(name, *labels.items())] = metric
         return metric
@@ -160,7 +154,9 @@ class MetricsRegistry:
         counter = self._counters.get((name, *labels.items()))
         if counter is None:
             counter = self._series(name, "counter", labels, self._counters)
-        counter.inc(amount)
+        if amount < 0:
+            raise ValueError(f"counter {name!r} cannot decrease")
+        counter.value += amount
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
         gauge = self._gauges.get((name, *labels.items()))

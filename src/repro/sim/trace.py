@@ -54,6 +54,9 @@ class TraceEvent(NamedTuple):
         return out
 
 
+_new_tuple = tuple.__new__
+
+
 class Tracer:
     """Bounded, filterable trace collector.
 
@@ -83,11 +86,10 @@ class Tracer:
         # would pay an O(capacity) front-delete on every emit once full.
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self.emitted = 0
-        self.discarded = 0
         # -- span bookkeeping ------------------------------------------------
         self._span_seq = 0
-        #: span_id -> (category, name, begin_time_us) for spans not yet ended
-        self._open_spans: dict[int, tuple[str, str, float]] = {}
+        #: span_id -> the begin event (also in the ring) of spans not yet ended
+        self._open_spans: dict[int, TraceEvent] = {}
         #: end_span calls whose id was unknown or already closed
         self.unbalanced_ends = 0
 
@@ -101,11 +103,17 @@ class Tracer:
             return
         self._record(category, name, fields)
 
-    def _record(self, category: str, name: str, fields: dict[str, Any]) -> None:
+    @property
+    def discarded(self) -> int:
+        """Events the ring evicted (the deque drops the oldest on append)."""
+        return self.emitted - len(self._events)
+
+    def _record(self, category: str, name: str, fields: dict[str, Any]) -> TraceEvent:
         self.emitted += 1
-        if len(self._events) == self.capacity:
-            self.discarded += 1  # deque drops the oldest on append
-        self._events.append(TraceEvent(self.env.now, category, name, fields))
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        event = _new_tuple(TraceEvent, (self.env.now, category, name, fields))
+        self._events.append(event)
+        return event
 
     # -- spans ---------------------------------------------------------------
     def begin_span(
@@ -134,22 +142,21 @@ class Tracer:
         keyword dict, made the payload: its keys, ``ph``, ``span``, ``parent``."""
         self._span_seq += 1
         span_id = self._span_seq
-        self._open_spans[span_id] = (category, name, self.env.now)
         fields["ph"] = "B"
         fields["span"] = span_id
         if parent is not None:
             fields["parent"] = parent
-        self._record(category, name, fields)
+        self._open_spans[span_id] = self._record(category, name, fields)
         return span_id
 
     def _end(self, span_id: int, fields: dict) -> None:
-        opened = self._open_spans.pop(span_id, None)
-        if opened is None:
+        begin = self._open_spans.pop(span_id, None)
+        if begin is None:
             self.unbalanced_ends += 1
             return
         fields["ph"] = "E"
         fields["span"] = span_id
-        self._record(opened[0], opened[1], fields)
+        self._record(begin.category, begin.name, fields)
 
     def instant(self, category: str, name: str, **fields: Any) -> None:
         """Record a zero-duration marker (rendered as an instant event)."""
@@ -166,8 +173,8 @@ class Tracer:
     def open_spans(self) -> list[tuple[int, str, str, float]]:
         """``(span_id, category, name, begin_time_us)`` of unclosed spans."""
         return [
-            (span_id, category, name, begin_us)
-            for span_id, (category, name, begin_us) in sorted(self._open_spans.items())
+            (span_id, begin.category, begin.name, begin.time_us)
+            for span_id, begin in sorted(self._open_spans.items())
         ]
 
     # -- queries --------------------------------------------------------------

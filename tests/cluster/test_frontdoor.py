@@ -6,6 +6,7 @@ from repro.cluster import ClusterPlane
 from repro.core.attributes import StreamSpec
 from repro.experiments.calibration import figure_mpeg_file
 from repro.faults import FaultPlane
+from repro.media import FrameType, MediaFrame
 from repro.sim import Environment, RandomStreams, S
 
 
@@ -281,6 +282,28 @@ class TestHandoff:
         plane = ClusterPlane(env, n_nodes=2)
         with pytest.raises(ValueError, match="not placed"):
             next(plane.frontdoor.handoff("ghost", 0))
+
+
+class TestEvictionDrain:
+    def test_drained_eviction_leaves_no_head_of_line_entry(self):
+        # ClusterNode empties the ring itself before remove_stream; the
+        # scheduler must still hold an entry exactly per non-empty queue
+        env = Environment()
+        plane = ClusterPlane(env, n_nodes=2)
+        admit_all(env, plane, specs_named("s0", "s1"), service_time_us=2_000.0)
+        env.run(until=2 * S)
+        node = next(n for n in plane.nodes if n.name == plane.ledger.node_of("s0"))
+        scheduler = node.service.runtime_of("s0").scheduler
+        for k in range(3):
+            scheduler.enqueue(MediaFrame("s0", 1_000 + k, FrameType.I, 1_000, 0.0), env.now)
+        assert "s0" in scheduler._entries
+        discarded = node.frames_discarded
+        assert node._evict({"stream_id": "s0"})["ok"]
+        assert node.frames_discarded >= discarded + 3
+        assert "s0" not in scheduler.streams
+        assert set(scheduler._entries) == {
+            sid for sid, q in scheduler.queues.items() if len(q)
+        }
 
 
 class TestPlaneValidation:

@@ -333,6 +333,60 @@ class TestBookkeeping:
         assert s.ops.snapshot_delta(before) == base
 
 
+def assert_heads_match_queues(s):
+    """A stream has a head-of-line entry exactly when its queue holds a
+    packet, so no entry means an empty backlog: what lets the streaming
+    engine skip the backlog recount after an idle cycle."""
+    assert set(s._entries) == {sid for sid, q in s.queues.items() if len(q)}
+    if not s._entries:
+        assert s.backlog == 0
+
+
+class TestHeadOfLineInvariant:
+    def test_every_queue_path_keeps_entries_and_queues_in_step(self):
+        s = sched(work_conserving=False)
+        s.add_stream(StreamSpec("lossy", period_us=100.0, loss_x=1, loss_y=2))
+        s.add_stream(
+            StreamSpec("strict", period_us=100.0, loss_x=0, loss_y=2, drop_late=False)
+        )
+        # the early return: no entry, nothing queued
+        d = s.schedule(0.0)
+        assert (d.serviced, d.dropped, d.idle_until) == (None, [], None)
+        assert_heads_match_queues(s)
+        # enqueue, then a pop that empties the queue
+        fill(s, "strict", 1)
+        assert_heads_match_queues(s)
+        assert s.schedule(0.0).serviced is not None
+        assert_heads_match_queues(s)
+        # a miss drop that empties the queue
+        fill(s, "lossy", 1)
+        assert_heads_match_queues(s)
+        d = s.schedule(1_000.0)
+        assert [desc.stream_id for desc in d.dropped] == ["lossy"]
+        assert d.serviced is None
+        assert_heads_match_queues(s)
+        # overload: pops, drops and late sends until both queues drain
+        fill(s, "lossy", 6, start_seq=1, now=1_000.0)
+        fill(s, "strict", 6, start_seq=1, now=1_000.0)
+        t = 1_000.0
+        while s.backlog:
+            s.schedule(t)
+            assert_heads_match_queues(s)
+            t += 300.0
+        assert s.stats.dropped > 1 and s.stats.sent_late > 0
+        # export, remove, and adopt on another scheduler
+        exported = s.export_stream("lossy")
+        s.remove_stream("lossy")
+        assert_heads_match_queues(s)
+        other = sched(work_conserving=False)
+        other.adopt_stream(exported)
+        assert_heads_match_queues(other)
+        fill(other, "lossy", 2, start_seq=7, now=t)
+        assert_heads_match_queues(other)
+        other.schedule(t + 10_000.0)
+        assert_heads_match_queues(other)
+
+
 class TestArithmeticBuilds:
     def test_fixed_and_float_make_identical_decisions(self):
         histories = {}

@@ -164,6 +164,27 @@ class TestStreamingEngine:
         # no producers: nothing sent, simulation didn't spin forever
         assert sent == []
 
+    def test_idle_cycles_do_not_recount_the_backlog(self):
+        class CountingScheduler(DWCSScheduler):
+            backlog_reads = 0
+
+            @property
+            def backlog(self):
+                self.backlog_reads += 1
+                return super().backlog
+
+        env = Environment()
+        scheduler = CountingScheduler(work_conserving=False)
+        scheduler.add_stream(StreamSpec("s1", period_us=40_000.0, loss_x=1, loss_y=4))
+        engine = StreamingEngine(
+            env, scheduler, CPU(I960RD_66, cache=DataCache(enabled=False)),
+            lambda desc: iter(()),
+        )
+        WindScheduler(env).spawn("tDWCS", engine.task_body, priority=100)
+        env.run(until=500_000.0)
+        assert scheduler.stats.decisions > 100
+        assert scheduler.backlog_reads == 0
+
     def test_wakeup_on_submit(self):
         env = Environment()
         engine, sent = self._build(env)

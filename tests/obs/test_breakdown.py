@@ -1,5 +1,7 @@
 """LatencyBreakdown: span folding, hop tables, critical paths."""
 
+import tracemalloc
+
 import pytest
 
 from repro.obs import LatencyBreakdown
@@ -50,6 +52,66 @@ class TestFolding:
         bd = LatencyBreakdown([B(1.0, "read", 1, stream="s1")])
         assert bd.spans == []
         assert bd.unfinished == 1
+
+    def test_fields_equal_the_merged_copy_in_key_order(self):
+        begin = B(1.0, "read", 7, stream="s1", seq=3, track="disk:sd0", parent=2)
+        end = E(5.0, "read", 7, bytes=100, track="disk:sd1")
+        [span] = LatencyBreakdown([begin, end]).spans
+        # the copy the fold used to keep: end over begin, first-seen order
+        merged = {**begin.fields, **end.fields}
+        del merged["ph"], merged["span"]
+        assert span.fields == merged
+        assert list(span.fields) == list(merged) == [
+            "stream", "seq", "track", "parent", "bytes",
+        ]
+        assert span.fields["track"] == "disk:sd1"
+        assert (span.stream, span.seq) == ("s1", 3)
+
+    def test_stream_and_seq_read_end_over_begin(self):
+        begin = B(1.0, "read", 1, stream="s1", seq=0)
+        [span] = LatencyBreakdown([begin, E(2.0, "read", 1, seq=9)]).spans
+        assert (span.stream, span.seq) == ("s1", 9)
+        [bare] = LatencyBreakdown([B(1.0, "x", 1), E(2.0, "x", 1)]).spans
+        assert (bare.stream, bare.seq) == (None, None)
+
+    def test_span_holds_the_ring_payloads_without_copying(self):
+        begin, end = B(1.0, "read", 1, stream="s1"), E(2.0, "read", 1, bytes=8)
+        [span] = LatencyBreakdown([begin, end]).spans
+        assert span.begin_fields is begin.fields
+        assert span.end_fields is end.fields
+
+
+class TestRetainedMemory:
+    N_SPANS = 10_000
+    #: bytes a folded span may retain beyond the ring's own events: one
+    #: tuple and a list slot (a merged payload copy cost 369 B per span)
+    BOUND_B = 160
+
+    def _read_spans(self):
+        """Pairs shaped like the datapath's ``read`` spans."""
+        events = []
+        for i in range(self.N_SPANS):
+            sid = i + 1
+            events.append(
+                B(i * 10.0, "read", sid, stream=f"s{i % 4}", seq=i, track="disk:sd0")
+            )
+            events.append(E(i * 10.0 + 4.0, "read", sid, bytes=1000 + i))
+        return events
+
+    def test_fold_retains_at_most_one_tuple_per_span(self):
+        events = self._read_spans()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bd = LatencyBreakdown(events)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(bd.spans) == self.N_SPANS
+        assert retained / self.N_SPANS <= self.BOUND_B
 
 
 class TestTables:

@@ -102,7 +102,8 @@ class TestCsvAndSnapshot:
 class TestArtifacts:
     def test_write_observe_artifacts(self, tmp_path):
         plane = _instrumented_plane()
-        written = write_observe_artifacts(str(tmp_path), [("host", plane)])
+        bd = LatencyBreakdown(plane.span_events(), label="host")
+        written = write_observe_artifacts(str(tmp_path), [("host", plane, bd)])
         names = sorted(p.split("/")[-1] for p in written)
         assert names == [
             "breakdown_host.csv",
@@ -118,3 +119,10 @@ class TestArtifacts:
             for line in (tmp_path / "events_host.jsonl").read_text().splitlines()
         ]
         assert len(events) == len(plane.tracer)
+
+    def test_breakdown_csv_is_the_fold_passed_in(self, tmp_path):
+        # the artifacts reuse the caller's fold rather than refolding the ring
+        plane = _instrumented_plane()
+        write_observe_artifacts(str(tmp_path), [("host", plane, LatencyBreakdown([]))])
+        csv = (tmp_path / "breakdown_host.csv").read_text()
+        assert csv == "scope,hop,count,total_us,mean_us,p50_us,p95_us,max_us\n"
