@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""A small video-on-demand node assembled from every substrate.
+"""A small video-on-demand node: admission, NI scheduling and a trace.
 
 Pulls the library's pieces together the way a downstream user would:
 
-* movies live as real bytes (MPEG elementary streams) on a **striped
-  volume** (4 disks, Tiger-style), parsed back into frames by the
-  **bitstream segmenter**;
+* movies are synthetic MPEG-1 files, each read off the disk of its own
+  **producer card** and moved by peer DMA into the scheduler card;
 * an **admission controller** gates client requests against the NI
   scheduler's measured per-frame cost;
 * admitted streams flow through the **NI-resident DWCS scheduler**;
@@ -20,8 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.core import AdmissionController, StreamSpec
-from repro.hw import EthernetSwitch, SCSIDisk, StripedFS, StripedVolume
-from repro.media import BitstreamSegmenter, MPEGEncoder, serialize
+from repro.hw import EthernetSwitch
+from repro.media import MPEGEncoder
 from repro.server import NIStreamingService, ServerNode
 from repro.sim import Environment, RandomStreams, S, Tracer
 
@@ -34,17 +33,12 @@ def main() -> None:
     tracer = Tracer(env)
     service.scheduler.tracer = tracer
 
-    # -- the content library: encode and serialize two movies -------------
+    # -- the content library: encode two movies ----------------------------
     encoder = MPEGEncoder(bitrate_bps=400_000.0, fps=10.0, rng=RandomStreams(1))
     library = {}
     for title in ("heat", "casablanca"):
-        movie = encoder.encode(title, n_frames=150)
-        library[title] = serialize(movie)
-        print(f"encoded {title!r}: {len(library[title])} bytes on disk")
-
-    # -- striped storage: 4 disks, one volume ------------------------------
-    volume = StripedVolume(env, [SCSIDisk(env, name=f"d{i}") for i in range(4)])
-    storage = StripedFS(env, volume)
+        movie = library[title] = encoder.encode(title, n_frames=150)
+        print(f"encoded {title!r}: {len(movie)} frames, {movie.size_bytes} bytes on disk")
 
     # -- admission: per-frame cost ≈ measured Table-2 value ----------------
     admission = AdmissionController(utilization_bound=0.85)
@@ -58,29 +52,13 @@ def main() -> None:
             return False
         service.attach_client(client)
         service.open_stream(spec, client)
-        env.process(producer(title), name=f"vod:{title}")
+        # a disk-attached producer card, paced ~2x ahead of 10 fps playout
+        service.start_producer(library[title], inject_gap_us=50_000.0)
         print(
             f"admitted {title!r} -> {client} "
             f"(utilization {decision.projected_utilization:.4f})"
         )
         return True
-
-    def producer(title: str):
-        """Read the movie's bytes off the stripe set, segment, submit."""
-        data = library[title]
-        fs_file = storage.open(title, size_bytes=len(data))
-        segmenter = BitstreamSegmenter(title)
-        offset = 0
-        chunk = 16_384
-        while offset < len(data):
-            got = yield from fs_file.read_next(min(chunk, len(data) - offset))
-            if got == 0:
-                break
-            frames = segmenter.push(data[offset : offset + got])
-            offset += got
-            for frame in frames:
-                yield from service._submit_with_backpressure(frame)
-            yield env.timeout(50_000.0)  # stay ~2x ahead of 10 fps playout
 
     # -- clients ----------------------------------------------------------------
     request_stream("heat", "den-pc")
@@ -97,7 +75,6 @@ def main() -> None:
             f"{rec.mean_bandwidth_bps(5 * S, 20 * S) / 1000:.0f} kbps, "
             f"drops={st.dropped} violations={st.violations}"
         )
-    print(f"stripe volume: {volume.reads} row reads across {volume.width} disks")
     print(f"trace: {tracer.counts()} "
           f"(first decision at t={tracer.events(name='decision')[0].time_us / 1e6:.2f}s)")
     print(f"admission ledger: {admission!r}")

@@ -22,7 +22,6 @@ can sweep stream counts against the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .attributes import StreamSpec
 

@@ -16,7 +16,7 @@ experiments report. The window-adjustment *rules* live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.fixedpoint import Fraction

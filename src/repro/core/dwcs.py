@@ -44,7 +44,7 @@ as the paper's measurement loop does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.fixedpoint import ArithmeticContext, FixedPointContext, OpCounter
@@ -53,7 +53,7 @@ from repro.media.frames import FrameDescriptor, MediaFrame
 from .attributes import StreamSpec, StreamState
 from .costs import DWCSCostModel
 from .queues import CircularBufferQueue, PacketQueue
-from .selection import DualHeaps, Entry, LinearScan, SelectionStructure, compare_entries
+from .selection import DualHeaps, Entry, SelectionStructure, compare_entries
 
 __all__ = ["DWCSScheduler", "Decision", "SchedulerStats"]
 

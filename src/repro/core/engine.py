@@ -25,7 +25,7 @@ asynchronous alternative is measured in ``benchmarks/test_ablations_bench.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.fixedpoint import OpCounter
@@ -226,7 +226,7 @@ class StreamingEngine:
                 sp = (
                     obs.begin(
                         "dispatch",
-                        track=f"cpu:{self.cpu.name}",
+                        track=self.cpu.track,
                         stream=decision.serviced.stream_id,
                         seq=decision.serviced.frame.seqno,
                     )

@@ -8,7 +8,7 @@ structure has an honest O(log n) cost profile relative to the linear scan.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, Optional, TypeVar
+from typing import Callable, Generic, Optional, TypeVar
 
 from repro.fixedpoint import OpCounter
 

@@ -21,7 +21,7 @@ operation counts they charge, which is exactly the data-structure
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.fixedpoint import ArithmeticContext, OpCounter
 

@@ -14,7 +14,7 @@ instructions (``open_stream``, ``submit_frame``, ``stream_stats``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable
 
 from repro.core.attributes import StreamSpec
 from repro.core.engine import StreamingEngine

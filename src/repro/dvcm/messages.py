@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.hw.pci import PCISegment
 from repro.sim import Environment, Event, Store
@@ -56,6 +56,8 @@ class MessageQueuePair:
         self.env = env
         self.segment = segment
         self.name = name
+        #: trace track of the messages posted to this card, built once
+        self.track = f"card:{name}"
         self.inbound: Store = Store(env, name=f"{name}.inbound")
         self.outbound: Store = Store(env, name=f"{name}.outbound")
         self.posted = 0
@@ -75,7 +77,7 @@ class MessageQueuePair:
         sp = (
             obs.begin(
                 "i2o",
-                track=f"card:{self.name}",
+                track=self.track,
                 fn=message.function,
                 msg_id=message.msg_id,
             )

@@ -99,7 +99,7 @@ class VCMRuntime:
             sp = (
                 obs.begin(
                     "firmware",
-                    track=f"cpu:{self.cpu.name}",
+                    track=self.cpu.track,
                     fn=message.function,
                     msg_id=message.msg_id,
                 )

@@ -2,7 +2,7 @@
 
 Both scheduler placements (host-resident and NI-resident) are rerun with an
 :class:`~repro.obs.ObservabilityPlane` installed before the clock starts, so
-every datapath hop — disk read, filesystem stripe, bridge transfer, DMA,
+every datapath hop — disk read, UFS/dosFs block read, bridge transfer, DMA,
 scheduler queue, dispatch, firmware, protocol stack, wire — emits spans into
 one ring and counters into one registry. The result renders the per-hop
 latency-breakdown tables and a representative (median) frame's critical

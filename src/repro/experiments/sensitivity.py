@@ -123,7 +123,6 @@ def mechanism_knockouts(duration_us: float = 60 * S, seed: int = 0) -> Experimen
     """Figure-7 degradation with its mechanisms disabled one at a time."""
     # imported here: the loading machinery pulls in the whole server stack
     from repro.hw.ethernet import EthernetSwitch
-    from repro.metrics import Perfmeter
     from repro.server.node import ServerNode
     from repro.server.streaming import HostStreamingService
     from repro.sim import Environment, RandomStreams

@@ -24,7 +24,6 @@ from .filesystem import DosFS, File, Filesystem, UFS
 from .memory import MB, Allocation, HardwareQueueFile, MemoryRegion, OutOfMemoryError
 from .nic import I960RDCard, Intel82557NIC
 from .pci import DMAEngine, PCIBridge, PCISegment, PIO_READ_US, PIO_WRITE_US
-from .striping import StripedFS, StripedVolume
 
 __all__ = [
     "Bus",
@@ -60,6 +59,4 @@ __all__ = [
     "DMAEngine",
     "PIO_READ_US",
     "PIO_WRITE_US",
-    "StripedVolume",
-    "StripedFS",
 ]

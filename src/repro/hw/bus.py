@@ -9,7 +9,7 @@ experiments can report per-bus traffic directly.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim import Environment, Event, Resource
 
@@ -36,6 +36,8 @@ class Bus:
             raise ValueError("bandwidth must be positive")
         self.env = env
         self.name = name
+        #: trace track of this bus's transfers, built once
+        self.track = f"bus:{name}"
         self.bandwidth_mb_s = bandwidth_mb_s
         self.per_transaction_us = per_transaction_us
         self.width_bytes = width_bytes
@@ -62,7 +64,7 @@ class Bus:
         start = self.env.now
         obs = self.env.obs
         sp = (
-            obs.begin("bus", track=f"bus:{self.name}", bytes=nbytes)
+            obs.begin("bus", track=self.track, bytes=nbytes)
             if obs is not None
             else None
         )

@@ -17,7 +17,7 @@ tally into simulated time using per-class cycle costs from its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.fixedpoint import OpCounter
@@ -78,6 +78,8 @@ class CPU:
         self.spec = spec
         self.cache = cache if cache is not None else DataCache(enabled=False)
         self.name = name or spec.name
+        #: trace track of the spans this CPU runs, built once
+        self.track = f"cpu:{self.name}"
         #: total cycles charged through this CPU (for reporting)
         self.cycles_charged = 0.0
         # (effective hit ratio, op tuple) -> cycles. The hit ratio folds in

@@ -68,6 +68,8 @@ class SCSIDisk:
     ) -> None:
         self.env = env
         self.name = name
+        #: trace track of this disk's I/O and its filesystem reads, built once
+        self.track = f"disk:{name}"
         self.avg_seek_us = avg_seek_us
         self.avg_rotation_us = avg_rotation_us
         self.sequential_position_us = sequential_position_us
@@ -110,7 +112,7 @@ class SCSIDisk:
         sp = (
             obs.begin(
                 "disk_io",
-                track=f"disk:{self.name}",
+                track=self.track,
                 bytes=nbytes,
                 op="write" if write else "read",
             )

@@ -18,7 +18,7 @@ link, then transmitted on the egress link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from repro.sim import Environment, Event, Resource, Store
 
@@ -109,6 +109,8 @@ class EthernetPort:
     def __init__(self, env: Environment, name: str, bandwidth_mbps: float = 100.0) -> None:
         self.env = env
         self.name = name
+        #: trace track of this port's wire and protocol-stack spans, built once
+        self.track = f"net:{name}"
         self.uplink = EthernetLink(env, name=f"{name}.up", bandwidth_mbps=bandwidth_mbps)
         self.inbox: Store = Store(env, name=f"{name}.inbox")
         self.switch: Optional["EthernetSwitch"] = None
@@ -125,7 +127,7 @@ class EthernetPort:
             if frame.stream_id is not None:
                 fields["stream"] = frame.stream_id
                 fields["seq"] = frame.seqno
-            sp = obs.begin("wire", track=f"net:{self.name}", **fields)
+            sp = obs.begin("wire", track=self.track, **fields)
         yield from self.uplink.transmit(frame.wire_bytes)
         yield from self.switch.forward(frame, dest)
         if obs is not None:
@@ -160,6 +162,8 @@ class EthernetSwitch:
             raise ValueError("loss rate must be in [0, 1)")
         self.env = env
         self.name = name
+        #: trace track of the frames this switch loses, built once
+        self.track = f"net:{name}"
         #: fixed lookup/queuing latency per forwarded frame
         self.latency_us = latency_us
         self.loss_rate = loss_rate
@@ -200,7 +204,7 @@ class EthernetSwitch:
             self.frames_dropped += 1
             if obs is not None:
                 obs.count("switch.frames_dropped", dest=dest)
-                obs.instant("frame_lost", track=f"net:{self.name}", dest=dest)
+                obs.instant("frame_lost", track=self.track, dest=dest)
             return  # injected fault: loss burst or partition
         yield from downlink.transmit(frame.wire_bytes)
         self.frames_forwarded += 1

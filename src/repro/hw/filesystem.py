@@ -24,7 +24,7 @@ frame producers use.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim import Environment, Event
 
@@ -55,7 +55,7 @@ class File:
         sp = (
             obs.begin(
                 "fs",
-                track=f"disk:{self.fs.disk.name}",
+                track=self.fs.disk.track,
                 file=self.name,
                 bytes=nbytes,
                 fstype=self.fs.fstype,

@@ -101,7 +101,7 @@ class PCIBridge:
         start = self.env.now
         obs = self.env.obs
         sp = (
-            obs.begin("bridge", track=f"bus:{self.segment.name}", bytes=nbytes)
+            obs.begin("bridge", track=self.segment.track, bytes=nbytes)
             if obs is not None
             else None
         )

@@ -1,8 +1,7 @@
 """Media substrate: synthetic MPEG-1 encoding, segmentation into I/P/B
 frames, frame descriptors, and the client/player model."""
 
-from .adaptation import QualityAdapter, Rendition, quality_ladder
-from .bitstream import BitstreamError, BitstreamSegmenter, serialize
+from .adaptation import Rendition, quality_ladder
 from .frames import DESCRIPTOR_BYTES, FrameDescriptor, FrameType, MediaFrame
 from .mpeg import GOPStructure, MPEGEncoder, MPEGFile, segment
 from .player import MPEGClient, StreamReception
@@ -18,10 +17,6 @@ __all__ = [
     "segment",
     "MPEGClient",
     "StreamReception",
-    "serialize",
-    "BitstreamSegmenter",
-    "BitstreamError",
-    "QualityAdapter",
     "Rendition",
     "quality_ladder",
 ]

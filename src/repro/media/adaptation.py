@@ -1,34 +1,27 @@
-"""Runtime quality adaptation.
+"""The quality ladder: renditions of one encoded file, best first.
 
 The paper's introduction motivates end-to-end adaptation: "media
 caching/buffering and runtime variation of delivered service quality are
 two of many techniques that attempt to deal with ... fluctuations in the
-service offerings experienced by clients". This module provides the
-mechanism on top of the MPEG substrate: a quality ladder built from the
-GOP structure (drop B frames, then P frames) and an adapter that walks it
-from observed delivery.
+service offerings experienced by clients". :func:`quality_ladder` builds
+the three renditions of one encoded file from its GOP structure, each a
+plain frame list produced by the segmentation filter: ``full`` (I+P+B),
+``anchors`` (I+P, the B frames shed) and ``intra`` (I only).
 
-* :func:`quality_ladder` — the three renditions of one encoded file:
-  ``full`` (I+P+B), ``anchors`` (I+P), ``intra`` (I only), each a plain
-  frame list produced by the segmentation filter.
-* :class:`QualityAdapter` — a control loop fed with per-window delivery
-  observations (frames expected vs received); sustained deficit steps the
-  ladder down, sustained health steps it back up, with hysteresis so the
-  rendition doesn't flap.
-
-The adapter is transport-agnostic: producers ask it which rendition to
-inject next; anything that can count delivered frames can feed it.
+The failover service (:class:`repro.server.failover.HAStreamingService`)
+reads the ``anchors`` rung: a stream that migrates degraded after a card
+failure sheds its B frames, and the rung's share of the file's frames
+scales the admission cost the stream asks of the surviving card.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .frames import FrameType, MediaFrame
 from .mpeg import MPEGFile, segment
 
-__all__ = ["Rendition", "quality_ladder", "QualityAdapter"]
+__all__ = ["Rendition", "quality_ladder"]
 
 
 @dataclass(frozen=True)
@@ -62,90 +55,3 @@ def quality_ladder(file: MPEGFile) -> list[Rendition]:
         )
     return rungs
 
-
-class QualityAdapter:
-    """Hysteretic ladder walker driven by delivery observations.
-
-    Parameters
-    ----------
-    ladder:
-        Renditions, best first (``quality_ladder`` output).
-    degrade_below:
-        Delivery ratio (received/expected per window) below which a window
-        counts against the current rendition.
-    upgrade_above:
-        Ratio above which a window counts toward recovery.
-    patience:
-        Consecutive bad windows required to step down / good windows to
-        step up (the hysteresis).
-    """
-
-    def __init__(
-        self,
-        ladder: list[Rendition],
-        degrade_below: float = 0.85,
-        upgrade_above: float = 0.98,
-        patience: int = 3,
-    ) -> None:
-        if not ladder:
-            raise ValueError("ladder must have at least one rendition")
-        if not 0.0 < degrade_below <= upgrade_above <= 1.0:
-            raise ValueError("need 0 < degrade_below <= upgrade_above <= 1")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.ladder = list(ladder)
-        self.degrade_below = degrade_below
-        self.upgrade_above = upgrade_above
-        self.patience = patience
-        self._level = 0
-        self._bad_windows = 0
-        self._good_windows = 0
-        self.downgrades = 0
-        self.upgrades = 0
-        #: (time, level) history for reporting
-        self.transitions: list[tuple[float, int]] = []
-
-    # -- state -----------------------------------------------------------------
-    @property
-    def level(self) -> int:
-        return self._level
-
-    @property
-    def rendition(self) -> Rendition:
-        return self.ladder[self._level]
-
-    # -- the control loop ---------------------------------------------------------
-    def observe(self, expected: int, received: int, now_us: float = 0.0) -> Rendition:
-        """Feed one window's delivery outcome; returns the rendition to use."""
-        if expected < 0 or received < 0:
-            raise ValueError("counts must be non-negative")
-        if expected == 0:
-            return self.rendition  # nothing to judge this window
-        ratio = min(1.0, received / expected)
-        if ratio < self.degrade_below:
-            self._bad_windows += 1
-            self._good_windows = 0
-            if self._bad_windows >= self.patience and self._level < len(self.ladder) - 1:
-                self._level += 1
-                self.downgrades += 1
-                self._bad_windows = 0
-                self.transitions.append((now_us, self._level))
-        elif ratio >= self.upgrade_above:
-            self._good_windows += 1
-            self._bad_windows = 0
-            if self._good_windows >= self.patience and self._level > 0:
-                self._level -= 1
-                self.upgrades += 1
-                self._good_windows = 0
-                self.transitions.append((now_us, self._level))
-        else:
-            # the dead band: neither counts — this is the hysteresis gap
-            self._bad_windows = 0
-            self._good_windows = 0
-        return self.rendition
-
-    def __repr__(self) -> str:
-        return (
-            f"<QualityAdapter level={self._level} ({self.rendition.name}) "
-            f"down={self.downgrades} up={self.upgrades}>"
-        )

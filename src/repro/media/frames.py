@@ -9,8 +9,7 @@ the paper stresses for conserving the i960 RD's 4 MB of local memory.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 __all__ = ["FrameType", "MediaFrame", "FrameDescriptor", "DESCRIPTOR_BYTES"]
 

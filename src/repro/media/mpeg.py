@@ -14,7 +14,7 @@ Defaults follow MPEG-1 constrained-parameters practice: GOP N=12/M=3
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np

@@ -24,7 +24,7 @@ while keeping reassembly bookkeeping readable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.hw.ethernet import EthernetPort, NetFrame, StackCosts
@@ -502,7 +502,7 @@ class TCPStack:
         sp = (
             obs.begin(
                 "stack",
-                track=f"net:{self.eth_port.name}",
+                track=self.eth_port.track,
                 proto="tcp",
                 bytes=seg.payload_bytes,
             )

@@ -691,7 +691,7 @@ class TTPStack:
         sp = (
             obs.begin(
                 "stack",
-                track=f"net:{self.eth_port.name}",
+                track=self.eth_port.track,
                 proto="ttp",
                 bytes=pkt.payload_bytes,
             )

@@ -15,7 +15,7 @@ framed and transmitted twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.hw.ethernet import EthernetPort, NetFrame, StackCosts
@@ -102,7 +102,7 @@ class UDPStack:
         sp = (
             obs.begin(
                 "stack",
-                track=f"net:{self.eth_port.name}",
+                track=self.eth_port.track,
                 proto="udp",
                 bytes=payload_bytes,
             )

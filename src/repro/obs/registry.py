@@ -225,24 +225,5 @@ class MetricsRegistry:
             out[name] = {"kind": kind, "series": series_out}
         return out
 
-    def render(self, title: str = "metrics") -> str:
-        """Human-readable snapshot table (counters/gauges only, one line
-        per labeled series; histograms summarized as count/sum)."""
-        lines = [f"== {title} ==" if title else "== metrics =="]
-        for name in sorted(self._kinds):
-            kind = self._kinds[name]
-            for key in sorted(self._metrics[name]):
-                metric = self._metrics[name][key]
-                label_txt = ",".join(f"{k}={v}" for k, v in key)
-                suffix = f"{{{label_txt}}}" if label_txt else ""
-                if kind == "histogram":
-                    snap = metric.snapshot()
-                    lines.append(
-                        f"  {name}{suffix}  count={snap['count']} sum={snap['sum']:.1f}"
-                    )
-                else:
-                    lines.append(f"  {name}{suffix}  {metric.snapshot():g}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return sum(len(series) for series in self._metrics.values())

@@ -13,7 +13,7 @@ CPU, exactly like a blocked thread.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim import Event
 

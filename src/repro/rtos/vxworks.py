@@ -12,7 +12,7 @@ Priorities follow the VxWorks convention: 0 is most urgent, 255 least.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hw.cpu import CPUSpec, I960RD_66
 from repro.sim import Environment

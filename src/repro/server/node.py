@@ -8,13 +8,11 @@ NICs, and host disk controllers in the slots.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hw.bus import Bus
 from repro.hw.cpu import CPU, CPUSpec, PENTIUM_PRO_200
 from repro.hw.disk import SCSIDisk
 from repro.hw.ethernet import HOST_STACK, StackCosts
-from repro.hw.filesystem import DosFS, Filesystem, UFS
+from repro.hw.filesystem import DosFS, UFS
 from repro.hw.memory import MB, MemoryRegion
 from repro.hw.nic import I960RDCard, Intel82557NIC
 from repro.hw.pci import PCIBridge, PCISegment

@@ -31,7 +31,6 @@ from repro.hw.cpu import CPU
 from repro.hw.disk import DiskMediaError
 from repro.hw.ethernet import EthernetPort, EthernetSwitch, NetFrame
 from repro.hw.memory import Allocation, OutOfMemoryError
-from repro.hw.nic import I960RDCard, Intel82557NIC
 from repro.media.frames import FrameDescriptor, MediaFrame
 from repro.media.mpeg import MPEGFile
 from repro.media.player import MPEGClient
@@ -102,6 +101,8 @@ class _BaseService:
         self.clients: dict[str, MPEGClient] = {}
         self._client_endpoints: dict[str, MediaClientEndpoint] = {}
         self._dest_of_stream: dict[str, str] = {}
+        #: stream id -> its ``stream:<id>`` trace track, built once
+        self._stream_tracks: dict[str, str] = {}
         self.engine: StreamingEngine  # set by subclass
         #: disk media errors survived by producers (retry succeeded or the
         #: frame was skipped)
@@ -123,6 +124,12 @@ class _BaseService:
             )
         self.clients[name] = client
         return client
+
+    def _track_of(self, stream_id: str) -> str:
+        track = self._stream_tracks.get(stream_id)
+        if track is None:
+            track = self._stream_tracks[stream_id] = f"stream:{stream_id}"
+        return track
 
     def transport_unaccounted(self) -> set:
         """Record ids the transport ledger cannot place (must be empty)."""
@@ -356,7 +363,7 @@ class SchedulerCardRuntime:
             sp = (
                 obs.begin(
                     "stack",
-                    track=f"cpu:{self.card.cpu.name}",
+                    track=self.card.cpu.track,
                     stream=desc.stream_id,
                     seq=desc.frame.seqno,
                 )
@@ -443,12 +450,10 @@ class NIStreamingService(_BaseService):
             for i, frame in enumerate(file.frames):
                 obs = self.env.obs
                 sid, seq = frame.stream_id, frame.seqno
-                track = f"stream:{sid}"
-                sp = (
-                    obs.begin("read", track=track, stream=sid, seq=seq)
-                    if obs is not None
-                    else None
-                )
+                sp = None
+                if obs is not None:
+                    track = self._track_of(sid)
+                    sp = obs.begin("read", track=track, stream=sid, seq=seq)
                 got = yield from self._read_with_retry(fs_file, frame.size_bytes)
                 if obs is not None:
                     obs.end(sp, bytes=got)
@@ -537,7 +542,7 @@ class HostStreamingService(_BaseService):
             sp = (
                 obs.begin(
                     "stack",
-                    track=f"cpu:{self.node.host_cpu.name}",
+                    track=self.node.host_cpu.track,
                     stream=sid,
                     seq=seq,
                 )
@@ -548,7 +553,7 @@ class HostStreamingService(_BaseService):
             yield task.compute(self.node.host_stack.cost_us(desc.size_bytes))
             if obs is not None:
                 obs.end(sp)
-                sp = obs.begin("txbridge", track=f"stream:{sid}", stream=sid, seq=seq)
+                sp = obs.begin("txbridge", track=self._track_of(sid), stream=sid, seq=seq)
             # frame body: host memory -> NIC across the bridge
             yield from bridge.transfer(desc.size_bytes)
             if obs is not None:
@@ -591,12 +596,10 @@ class HostStreamingService(_BaseService):
             for i, frame in enumerate(file.frames):
                 obs = self.env.obs
                 sid, seq = frame.stream_id, frame.seqno
-                track = f"stream:{sid}"
-                sp = (
-                    obs.begin("read", track=track, stream=sid, seq=seq)
-                    if obs is not None
-                    else None
-                )
+                sp = None
+                if obs is not None:
+                    track = self._track_of(sid)
+                    sp = obs.begin("read", track=track, stream=sid, seq=seq)
                 got = yield from self._read_with_retry(fs_file, frame.size_bytes)
                 if obs is not None:
                     obs.end(sp, bytes=got)

@@ -7,7 +7,7 @@ conventions used throughout the reproduction.
 
 from .environment import MS, S, US, Environment
 from .errors import Interrupt, SimulationError
-from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
+from .events import AnyOf, ConditionValue, Event, Timeout
 from .monitor import RateEstimator, TallyStats, TimeSeries
 from .process import Process
 from .resources import Request, Resource, Store, StoreGet, StorePut
@@ -21,7 +21,6 @@ __all__ = [
     "S",
     "Event",
     "Timeout",
-    "AllOf",
     "AnyOf",
     "ConditionValue",
     "Process",

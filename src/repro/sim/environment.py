@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from .errors import SimulationError, StopSimulation
-from .events import AllOf, Event, Timeout
+from .events import Event, Timeout
 from .process import Process
 from .rng import RandomStreams
 
@@ -104,10 +104,6 @@ class Environment:
         #: ``process(generator, name=None)``: spawn *generator* as a process
         #: starting at the current time
         self.process = partial(Process, self)
-
-    # -- factories ----------------------------------------------------------
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

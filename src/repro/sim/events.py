@@ -2,8 +2,8 @@
 
 An :class:`Event` is a one-shot occurrence with an optional value. Processes
 wait on events by ``yield``-ing them; arbitrary callbacks may also be
-attached. Composite conditions (:class:`AllOf`, :class:`AnyOf`) allow a
-process to wait for conjunctions/disjunctions of events.
+attached. :class:`AnyOf` lets a process wait for the first of several
+events: the streaming engine's idle wait races a wakeup against a timeout.
 
 The design follows the SimPy event model closely enough that readers familiar
 with SimPy can navigate it, but it is an independent implementation tuned for
@@ -20,7 +20,7 @@ from .errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "ConditionValue"]
+__all__ = ["Event", "Timeout", "AnyOf", "ConditionValue"]
 
 # Event lifecycle states.
 PENDING = 0
@@ -117,9 +117,6 @@ class Event:
         else:
             self.fail(event._value)
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
 
@@ -191,18 +188,20 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`.
+class AnyOf(Event):
+    """Triggers as soon as any member event triggers, and fails with the
+    first member that fails. Its value is a :class:`ConditionValue` of the
+    members triggered by then; with no members it succeeds at once.
 
-    Once the condition has fired or failed, it takes its callback off every
-    member that has not run its callbacks yet: that callback would return at
-    once, and left in place it would hold the condition in a reference cycle
+    Once it has fired or failed, it takes its callback off every member
+    that has not run its callbacks yet: that callback would return at once,
+    and left in place it would hold the condition in a reference cycle
     (condition -> member -> callback -> condition) until the member fires.
     A member that never fires, like the idle wait's wakeup that its timeout
     beats, would leave the pair for the cyclic garbage collector.
     """
 
-    __slots__ = ("_events", "_remaining")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -210,18 +209,14 @@ class _Condition(Event):
         for e in members:
             if e.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        self._remaining = len(members)
         # one bound method for every member; _detach finds it by equality
         on_member = self._on_member
         for e in members:
-            if e._state:  # TRIGGERED or PROCESSED
+            if e._state:  # TRIGGERED or PROCESSED: fires the condition now
                 on_member(e)
-                if self._state:
-                    break  # fired already: later members would be ignored
-            else:
-                e.callbacks.append(on_member)
-        if not members and self._state == PENDING:
-            # Empty condition is immediately satisfied.
+                break  # later members would be ignored
+            e.callbacks.append(on_member)
+        if not members:
             self.succeed(ConditionValue())
 
     def _collect(self) -> ConditionValue:
@@ -235,15 +230,12 @@ class _Condition(Event):
     def _on_member(self, event: Event) -> None:
         if self._state != PENDING:
             return
-        if not event._ok:
+        if event._ok:
+            self.succeed(self._collect())
+        else:
             event.defused = True
             self.fail(event._value)
-            self._detach()
-            return
-        self._remaining -= 1
-        if self._satisfied(event):
-            self.succeed(self._collect())
-            self._detach()
+        self._detach()
 
     def _detach(self) -> None:
         """Remove this condition's callback from members yet to be processed."""
@@ -257,24 +249,3 @@ class _Condition(Event):
                     # construction, or came after the one that did), or its
                     # callbacks were cleared by their owner
                     pass
-
-    def _satisfied(self, event: Event) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers once every member event has triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self, event: Event) -> bool:
-        return self._remaining <= 0
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any member event triggers."""
-
-    __slots__ = ()
-
-    def _satisfied(self, event: Event) -> bool:
-        return True

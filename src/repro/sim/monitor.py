@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .environment import Environment
 
 __all__ = ["TimeSeries", "TallyStats", "RateEstimator"]
 

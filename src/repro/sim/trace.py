@@ -9,10 +9,10 @@ external tooling.
 
 Beyond point events, the tracer records **spans**: begin/end pairs with
 optional parent links, the substrate of the observability plane's
-per-frame datapath traces (:mod:`repro.obs`). A span begun under a
-filtered-out category returns ``None`` before any payload is built (the
-plane's ``begin`` after one set-membership test); ``end_span(None)`` is a
-no-op, so instrumented code needs no second guard.
+per-frame datapath traces (:mod:`repro.obs`). Spans are opened and closed
+through the plane's ``begin`` and ``end``
+(:class:`~repro.obs.plane.ObservabilityPlane`), which apply the category
+filter and then call :meth:`Tracer._begin` and :meth:`Tracer._end`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Tracer:
         self._span_seq = 0
         #: span_id -> the begin event (also in the ring) of spans not yet ended
         self._open_spans: dict[int, TraceEvent] = {}
-        #: end_span calls whose id was unknown or already closed
+        #: span ends whose id was unknown or already closed
         self.unbalanced_ends = 0
 
     # -- recording ----------------------------------------------------------
@@ -116,27 +116,6 @@ class Tracer:
         return event
 
     # -- spans ---------------------------------------------------------------
-    def begin_span(
-        self,
-        category: str,
-        name: str,
-        parent: Optional[int] = None,
-        **fields: Any,
-    ) -> Optional[int]:
-        """Open a span; returns its id (pass to :meth:`end_span`).
-
-        Returns ``None`` when *category* is filtered out — the matching
-        ``end_span(None)`` is then free, so call sites need one guard only.
-        """
-        if not self.wants(category):
-            return None
-        return self._begin(category, name, parent, fields)
-
-    def end_span(self, span_id: Optional[int], **fields: Any) -> None:
-        """Close a span opened by :meth:`begin_span`."""
-        if span_id is not None:
-            self._end(span_id, fields)
-
     def _begin(self, category: str, name: str, parent: Optional[int], fields: dict) -> int:
         """Record a span begin past the filter. *fields* is the caller's own
         keyword dict, made the payload: its keys, ``ph``, ``span``, ``parent``."""
@@ -164,18 +143,6 @@ class Tracer:
             return
         fields["ph"] = "i"
         self._record(category, name, fields)
-
-    @property
-    def open_span_count(self) -> int:
-        """Spans begun but not yet ended (unbalanced-span detection)."""
-        return len(self._open_spans)
-
-    def open_spans(self) -> list[tuple[int, str, str, float]]:
-        """``(span_id, category, name, begin_time_us)`` of unclosed spans."""
-        return [
-            (span_id, begin.category, begin.name, begin.time_us)
-            for span_id, begin in sorted(self._open_spans.items())
-        ]
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:

@@ -1,11 +1,9 @@
-"""Quality ladder and the hysteretic adapter."""
+"""The quality ladder: full, anchors (B frames shed), intra."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.media import FrameType, MPEGEncoder
-from repro.media.adaptation import QualityAdapter, Rendition, quality_ladder
+from repro.media.adaptation import quality_ladder
 from repro.sim import RandomStreams
 
 
@@ -29,81 +27,3 @@ class TestLadder:
         assert {f.ftype for f in ladder[1].frames} == {FrameType.I, FrameType.P}
         assert {f.ftype for f in ladder[2].frames} == {FrameType.I}
 
-
-class TestAdapter:
-    def test_validation(self, ladder):
-        with pytest.raises(ValueError):
-            QualityAdapter([])
-        with pytest.raises(ValueError):
-            QualityAdapter(ladder, degrade_below=0.99, upgrade_above=0.9)
-        with pytest.raises(ValueError):
-            QualityAdapter(ladder, patience=0)
-        with pytest.raises(ValueError):
-            QualityAdapter(ladder).observe(-1, 0)
-
-    def test_sustained_loss_steps_down(self, ladder):
-        adapter = QualityAdapter(ladder, patience=3)
-        for _ in range(3):
-            adapter.observe(expected=10, received=5)
-        assert adapter.rendition.name == "anchors"
-        assert adapter.downgrades == 1
-
-    def test_single_bad_window_is_tolerated(self, ladder):
-        adapter = QualityAdapter(ladder, patience=3)
-        adapter.observe(10, 4)
-        adapter.observe(10, 10)  # recovery resets the bad streak
-        adapter.observe(10, 4)
-        adapter.observe(10, 4)
-        assert adapter.rendition.name == "full"
-
-    def test_recovery_steps_back_up(self, ladder):
-        adapter = QualityAdapter(ladder, patience=2)
-        for _ in range(4):
-            adapter.observe(10, 3)
-        assert adapter.level > 0
-        before = adapter.level
-        for _ in range(2 * before):
-            adapter.observe(10, 10)
-        assert adapter.level == 0
-        assert adapter.upgrades >= 1
-
-    def test_dead_band_prevents_flapping(self, ladder):
-        adapter = QualityAdapter(ladder, degrade_below=0.8, upgrade_above=0.98, patience=2)
-        # ratios inside (0.8, 0.98): neither streak advances
-        for _ in range(20):
-            adapter.observe(10, 9)
-        assert adapter.downgrades == 0
-        assert adapter.upgrades == 0
-
-    def test_floor_and_ceiling(self, ladder):
-        adapter = QualityAdapter(ladder, patience=1)
-        for _ in range(10):
-            adapter.observe(10, 0)
-        assert adapter.rendition.name == "intra"  # pinned at the floor
-        for _ in range(10):
-            adapter.observe(10, 10)
-        assert adapter.rendition.name == "full"  # pinned at the ceiling
-
-    def test_empty_window_is_neutral(self, ladder):
-        adapter = QualityAdapter(ladder, patience=1)
-        adapter.observe(0, 0)
-        assert adapter.level == 0
-
-    def test_transitions_recorded_with_time(self, ladder):
-        adapter = QualityAdapter(ladder, patience=1)
-        adapter.observe(10, 1, now_us=5e6)
-        assert adapter.transitions == [(5e6, 1)]
-
-    @given(
-        outcomes=st.lists(st.integers(0, 10), min_size=1, max_size=120),
-        patience=st.integers(1, 4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_level_always_in_range(self, outcomes, patience):
-        # built inline: hypothesis forbids function-scoped fixtures
-        file = MPEGEncoder(rng=RandomStreams(0)).encode("m", 48)
-        adapter = QualityAdapter(quality_ladder(file), patience=patience)
-        n_levels = len(adapter.ladder)
-        for got in outcomes:
-            adapter.observe(10, got)
-            assert 0 <= adapter.level < n_levels

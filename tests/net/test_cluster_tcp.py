@@ -32,7 +32,7 @@ def test_ni_to_ni_tcp_over_lossy_san():
 
     def client():
         conn = yield from src_tcp.connect(
-            cluster.san_port_name(1), 9000, src_port=30_000
+            cluster.san_cards[1].eth_ports[1].name, 9000, src_port=30_000
         )
         for i in range(30):
             conn.send(4096, data=i)
@@ -43,5 +43,5 @@ def test_ni_to_ni_tcp_over_lossy_san():
     env.run(until=60 * S)
 
     assert got == list(range(30))
-    assert all(v == 0 for v in cluster.host_bus_traffic().values())
+    assert all(node.system_bus.bytes_transferred == 0 for node in cluster.nodes)
     assert cluster.san.frames_dropped > 0  # the loss was real

@@ -44,34 +44,3 @@ def test_reliable_in_order_delivery_under_any_loss(seed, loss, n_records, record
     env.process(client())
     env.run(until=120 * S)
     assert got == [(i, record_bytes) for i in range(n_records)]
-
-
-@given(
-    offset=st.integers(0, 10**6),
-    nbytes=st.integers(1, 10**6),
-    width=st.integers(1, 8),
-    stripe=st.sampled_from([512, 4096, 65_536]),
-)
-@settings(max_examples=60, deadline=None)
-def test_stripe_layout_covers_extent_exactly_once(offset, nbytes, width, stripe):
-    """Layout property: pieces are contiguous, non-overlapping, complete,
-    and each piece stays inside one stripe unit on its disk."""
-    from repro.hw import SCSIDisk
-    from repro.hw.striping import StripedVolume
-
-    env = Environment()
-    vol = StripedVolume(
-        env, [SCSIDisk(env, name=f"d{i}") for i in range(width)], stripe_bytes=stripe
-    )
-    pieces = vol._layout(offset, nbytes)
-    assert sum(length for _d, _l, length in pieces) == nbytes
-    # piece k must begin exactly where piece k-1 ended in the logical extent
-    pos = offset
-    for disk, local, length in pieces:
-        stripe_index = pos // stripe
-        assert vol.disks[stripe_index % width] is disk
-        row = stripe_index // width
-        assert local == row * stripe + (pos % stripe)
-        assert length <= stripe - (pos % stripe)  # never crosses a unit
-        pos += length
-    assert pos == offset + nbytes

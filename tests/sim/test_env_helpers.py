@@ -5,13 +5,6 @@ import pytest
 from repro.sim import Environment, SimulationError
 
 
-def test_all_of_helper():
-    env = Environment()
-    cond = env.all_of([env.timeout(3.0), env.timeout(7.0)])
-    env.run(until=cond)
-    assert env.now == 7.0
-
-
 def test_event_factory_names():
     env = Environment()
     ev = env.event(name="custom")

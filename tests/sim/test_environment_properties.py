@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, SimulationError
+from repro.sim import AnyOf, Environment, Event, Interrupt, SimulationError
 
 
 # -- same-timestamp tie ordering ---------------------------------------------
@@ -91,7 +91,7 @@ def test_interrupt_outranks_same_time_timeout_expiry():
     assert log == ["interrupt"]
 
 
-# -- AllOf / AnyOf with failing members ---------------------------------------
+# -- AnyOf with failing members ---------------------------------------------
 
 
 class Boom(Exception):
@@ -116,31 +116,12 @@ def test_anyof_first_failure_propagates_to_waiter():
     assert caught == ["first"]
 
 
-def test_allof_fails_even_after_members_succeeded():
-    env = Environment()
-    caught = []
-
-    def waiter():
-        ok = env.timeout(1.0)
-        bad = env.event()
-        env.schedule_callback(10.0, lambda: bad.fail(Boom("late")))
-        try:
-            yield AllOf(env, [ok, bad])
-        except Boom as err:
-            caught.append(str(err))
-
-    env.process(waiter())
-    env.run()
-    assert caught == ["late"]
-    assert env.now == 10.0
-
-
 def test_condition_defuses_the_failed_member():
     """The member's failure is consumed by the condition: no crash at the
     end of the run for an 'unhandled' failed event."""
     env = Environment()
     bad = env.event()
-    cond = AllOf(env, [bad])
+    cond = AnyOf(env, [bad])
     cond.defused = True  # nobody waits on the condition either
     bad.fail(Boom())
     env.run()  # must not raise
@@ -148,13 +129,13 @@ def test_condition_defuses_the_failed_member():
     assert cond.triggered and not cond.ok
 
 
-def test_allof_with_prefailed_member_fails_at_construction():
+def test_anyof_with_prefailed_member_fails_at_construction():
     env = Environment()
     bad = env.event()
     bad.defused = True  # keep the standalone failure from crashing run()
     bad.fail(Boom("early"))
     env.run()  # process the failure; bad is now PROCESSED
-    cond = AllOf(env, [bad])
+    cond = AnyOf(env, [bad])
     cond.defused = True
     assert cond.triggered and not cond.ok
     assert isinstance(cond.value, Boom)

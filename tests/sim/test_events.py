@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, SimulationError
+from repro.sim import AnyOf, Environment, SimulationError
 
 
 @pytest.fixture
@@ -91,14 +91,6 @@ def test_timeout_cannot_be_retriggered(env):
 
 
 class TestConditions:
-    def test_allof_waits_for_all(self, env):
-        a, b = env.timeout(1.0, value="a"), env.timeout(5.0, value="b")
-        cond = AllOf(env, [a, b])
-        env.run(until=cond)
-        assert env.now == 5.0
-        assert cond.value[a] == "a"
-        assert cond.value[b] == "b"
-
     def test_anyof_fires_on_first(self, env):
         a, b = env.timeout(1.0, value="a"), env.timeout(5.0, value="b")
         cond = AnyOf(env, [a, b])
@@ -107,28 +99,15 @@ class TestConditions:
         assert a in result
         assert b not in result
 
-    def test_and_operator(self, env):
-        a, b = env.timeout(2.0), env.timeout(3.0)
-        cond = a & b
-        env.run(until=cond)
-        assert env.now == 3.0
-
     def test_or_operator(self, env):
         a, b = env.timeout(2.0), env.timeout(3.0)
         env.run(until=a | b)
         assert env.now == 2.0
 
-    def test_empty_allof_is_immediately_true(self, env):
-        cond = AllOf(env, [])
+    def test_empty_anyof_is_immediately_true(self, env):
+        cond = AnyOf(env, [])
         assert cond.triggered
-
-    def test_allof_with_pretriggered_member_still_waits_for_pending(self, env):
-        done = env.event().succeed("x")
-        later = env.timeout(10.0)
-        cond = AllOf(env, [done, later])
-        assert not cond.triggered
-        env.run(until=cond)
-        assert env.now == 10.0
+        assert len(env.run(until=cond)) == 0
 
     def test_anyof_with_pretriggered_member_fires_immediately(self, env):
         done = env.event().succeed("x")
@@ -139,15 +118,16 @@ class TestConditions:
     def test_condition_fails_when_member_fails(self, env):
         good = env.timeout(5.0)
         bad = env.event()
-        cond = AllOf(env, [good, bad])
+        cond = AnyOf(env, [good, bad])
         bad.fail(ValueError("member failed"))
         with pytest.raises(ValueError, match="member failed"):
             env.run(until=cond)
 
     def test_condition_value_mapping_interface(self, env):
-        a = env.timeout(1.0, value=1)
-        b = env.timeout(1.0, value=2)
-        cond = AllOf(env, [a, b])
+        # both members triggered before the condition fires, so both count
+        a = env.event().succeed(1)
+        b = env.event().succeed(2)
+        cond = AnyOf(env, [a, b])
         env.run(until=cond)
         cv = cond.value
         assert len(cv) == 2
@@ -159,4 +139,4 @@ class TestConditions:
     def test_cross_environment_condition_rejected(self, env):
         other = Environment()
         with pytest.raises(SimulationError):
-            AllOf(env, [env.event(), other.event()])
+            AnyOf(env, [env.event(), other.event()])

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AnyOf, Environment
 from repro.sim.process import Process
 
 
@@ -61,10 +61,10 @@ class TestConditionDetach:
         # only the condition's callback went: the member's own stays
         assert pending.callbacks == [mine.append]
 
-    def test_failed_allof_leaves_no_callback_on_the_others(self, env):
+    def test_failed_anyof_leaves_no_callback_on_others(self, env):
         before, after = env.event(), env.timeout(5.0)
         bad = env.event()
-        cond = AllOf(env, [before, bad, after])
+        cond = AnyOf(env, [before, bad, after])
         cond.defused = True
         bad.fail(ValueError("member failed"))
         env.run(until=1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import DWCSScheduler, StreamSpec
 from repro.media import FrameType, MediaFrame
-from repro.obs import ObservabilityPlane
+from repro.obs import LatencyBreakdown, ObservabilityPlane
 from repro.sim import Environment, TraceEvent, Tracer
 
 
@@ -124,59 +124,68 @@ class TestAccounting:
         assert t.emitted - t.discarded == len(t)
 
     def test_filtered_categories_cost_nothing(self, env):
-        t = Tracer(env, categories=["keep"])
+        plane = ObservabilityPlane(env, categories=["keep"])
+        t = plane.tracer
         for _ in range(5):
             t.emit("drop", "e")
         t.instant("drop", "e")
-        assert t.begin_span("drop", "e") is None
+        assert plane.begin("e", category="drop") is None
         assert (t.emitted, t.discarded, len(t)) == (0, 0, 0)
         t.emit("keep", "e")
         assert (t.emitted, len(t)) == (1, 1)
 
 
 class TestSpans:
+    """Spans through ``ObservabilityPlane.begin``/``end``, the span API
+    every instrumented hop uses."""
+
     def test_begin_end_pairing(self, env):
-        t = Tracer(env)
+        plane = ObservabilityPlane(env)
         sid_holder = {}
-        env.schedule_callback(2.0, lambda: sid_holder.update(s=t.begin_span("span", "read", stream="s1")))
-        env.schedule_callback(7.0, lambda: t.end_span(sid_holder["s"], bytes=100))
+        env.schedule_callback(2.0, lambda: sid_holder.update(s=plane.begin("read", stream="s1")))
+        env.schedule_callback(7.0, lambda: plane.end(sid_holder["s"], bytes=100))
         env.run()
-        begin, end = t.events()
+        begin, end = plane.tracer.events()
         assert begin.fields["ph"] == "B"
         assert end.fields["ph"] == "E"
         assert begin.fields["span"] == end.fields["span"]
         assert begin.time_us == 2.0
         assert end.time_us == 7.0
-        assert t.open_span_count == 0
-        assert t.unbalanced_ends == 0
+        assert LatencyBreakdown(plane.tracer.events()).unfinished == 0
+        assert plane.tracer.unbalanced_ends == 0
 
     def test_parent_link_recorded(self, env):
-        t = Tracer(env)
-        outer = t.begin_span("span", "frame")
-        inner = t.begin_span("span", "read", parent=outer)
-        assert t.events()[1].fields["parent"] == outer
-        t.end_span(inner)
-        t.end_span(outer)
+        plane = ObservabilityPlane(env)
+        outer = plane.begin("frame")
+        inner = plane.begin("read", parent=outer)
+        assert plane.tracer.events()[1].fields["parent"] == outer
+        plane.end(inner)
+        plane.end(outer)
 
     def test_unbalanced_end_detected(self, env):
-        t = Tracer(env)
-        sid = t.begin_span("span", "x")
-        t.end_span(sid)
-        t.end_span(sid)  # double close
-        t.end_span(999)  # never opened
-        assert t.unbalanced_ends == 2
+        plane = ObservabilityPlane(env)
+        sid = plane.begin("x")
+        plane.end(sid)
+        plane.end(sid)  # double close
+        plane.end(999)  # never opened
+        assert plane.tracer.unbalanced_ends == 2
 
     def test_end_none_is_noop(self, env):
-        t = Tracer(env)
-        t.end_span(None)
-        assert (len(t), t.unbalanced_ends) == (0, 0)
+        plane = ObservabilityPlane(env)
+        plane.end(None)
+        assert (len(plane.tracer), plane.tracer.unbalanced_ends) == (0, 0)
 
     def test_open_spans_reported(self, env):
-        t = Tracer(env)
-        sid = t.begin_span("span", "stuck", stream="s1")
-        assert t.open_span_count == 1
-        [(got_id, cat, name, begin_us)] = t.open_spans()
-        assert (got_id, cat, name, begin_us) == (sid, "span", "stuck", 0.0)
+        plane = ObservabilityPlane(env)
+        sid = plane.begin("stuck", stream="s1")
+        [begin] = plane.tracer.events()
+        assert (begin.fields["span"], begin.category, begin.name, begin.time_us) == (
+            sid,
+            "span",
+            "stuck",
+            0.0,
+        )
+        assert LatencyBreakdown(plane.tracer.events()).unfinished == 1
 
     def test_instant_marker(self, env):
         t = Tracer(env)
@@ -186,10 +195,10 @@ class TestSpans:
         assert e.fields["card"] == "rd0"
 
     def test_span_payload_key_order(self, env):
-        t = Tracer(env)
-        sid = t.begin_span("span", "read", parent=7, stream="s1", seq=3)
-        t.end_span(sid, bytes=100)
-        begin, end = t.events()
+        plane = ObservabilityPlane(env)
+        sid = plane.begin("read", parent=7, stream="s1", seq=3)
+        plane.end(sid, bytes=100)
+        begin, end = plane.tracer.events()
         assert list(begin.fields) == ["stream", "seq", "ph", "span", "parent"]
         assert list(end.fields) == ["bytes", "ph", "span"]
 
@@ -216,12 +225,12 @@ class TestSpans:
         )
 
     def test_caller_dict_is_not_the_payload(self, env):
-        t = Tracer(env)
+        plane = ObservabilityPlane(env)
         fields = {"stream": "s1"}
-        t.end_span(t.begin_span("span", "read", **fields), **fields)
-        t.instant("event", "mark", **fields)
+        plane.end(plane.begin("read", **fields), **fields)
+        plane.instant("mark", **fields)
         assert fields == {"stream": "s1"}
-        assert [e.fields["ph"] for e in t.events()] == ["B", "E", "i"]
+        assert [e.fields["ph"] for e in plane.tracer.events()] == ["B", "E", "i"]
 
 
 class TestDump:

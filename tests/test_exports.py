@@ -1,12 +1,18 @@
-"""Every name a ``repro`` module exports in ``__all__`` resolves.
+"""Every name a ``repro`` module exports in ``__all__`` resolves, and
+every name a module imports is used.
 
 Deleting a class or function while leaving its ``__all__`` string behind
 breaks ``from module import *`` only; a direct import of the other names
-still works, so no other test notices the stale entry.
+still works, so no other test notices the stale entry. Deleting the last
+use of an imported name leaves the import behind, which nothing notices
+either.
 """
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -26,3 +32,44 @@ def test_every_all_name_resolves():
         if missing:
             stale[name] = missing
     assert not stale, f"__all__ names undefined attributes: {stale}"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names *path* imports (at any depth) that it never uses. A name is
+    used if it appears as a name, as an attribute, or as a word inside any
+    string (an ``__all__`` entry or a quoted annotation)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    strings: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.append(node.value)
+    text = "\n".join(strings)
+    return [
+        f"{name} (line {lineno})"
+        for name, lineno in imported.items()
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+
+
+def test_every_imported_name_is_used():
+    # a package's __init__ imports names to re-export them
+    modules = [p for p in Path(repro.__path__[0]).rglob("*.py") if p.name != "__init__.py"]
+    assert len(modules) > 50
+    unused = {}
+    for path in modules:
+        names = unused_imports(path)
+        if names:
+            unused[str(path.relative_to(Path(repro.__path__[0]).parent))] = names
+    assert not unused, f"imported names never used: {unused}"
