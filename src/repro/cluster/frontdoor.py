@@ -125,7 +125,9 @@ class FrontDoor:
         if obs is not None:
             node = self.nodes[index].name
             obs.count("frontdoor.breaker_transitions", node=node, to=to, cause=cause)
-            obs.instant(f"node_{cause}", track=f"{node}:health", node=node)
+            obs.instant(
+                f"node_{cause}", track=self.nodes[index].health_track, node=node
+            )
 
     def _node_died(self, index: int) -> None:
         self.breakers[index].open()
@@ -183,6 +185,7 @@ class FrontDoor:
         # re-admit) carries it, which is what lets the Perfetto export
         # stitch a cross-node causal track out of per-node events
         corr = f"{spec.stream_id}#{self.admits_requested}"
+        track = f"stream:{spec.stream_id}"
         self._stream_info[spec.stream_id] = {
             "spec": spec,
             "service_time_us": service_time_us,
@@ -190,13 +193,14 @@ class FrontDoor:
             "inject_gap_us": inject_gap_us,
             "prebuffer_frames": prebuffer_frames,
             "corr": corr,
+            "track": track,  # of every span of this stream, built once
         }
         obs = self.env.obs
         t0 = self.env.now
         sp = (
             obs.begin(
                 "admit",
-                track=f"stream:{spec.stream_id}",
+                track=track,
                 category=CLUSTER_CATEGORY,
                 corr=corr,
             )
@@ -225,7 +229,8 @@ class FrontDoor:
         if obs is not None:
             obs.count("frontdoor.parks", reason=reason)
             obs.instant(
-                "parked", track=f"stream:{stream_id}", corr=corr, reason=reason
+                "parked", track=self._stream_info[stream_id]["track"], corr=corr,
+                reason=reason,
             )
 
     def _place(
@@ -269,7 +274,7 @@ class FrontDoor:
                 sp = (
                     obs.begin(
                         "place",
-                        track=f"stream:{stream_id}",
+                        track=info["track"],
                         parent=parent_span,
                         category=CLUSTER_CATEGORY,
                         corr=corr,
@@ -329,7 +334,7 @@ class FrontDoor:
         sp = (
             obs.begin(
                 "rescind",
-                track=f"stream:{stream_id}",
+                track=self._stream_info[stream_id]["track"],
                 category=CLUSTER_CATEGORY,
                 corr=corr,
                 node=node.name,
@@ -367,7 +372,7 @@ class FrontDoor:
         fsp = (
             obs.begin(
                 "failover",
-                track=f"{node.name}:health",
+                track=node.health_track,
                 category=CLUSTER_CATEGORY,
                 node=node.name,
                 victims=len(victims),
@@ -389,7 +394,7 @@ class FrontDoor:
             msp = (
                 obs.begin(
                     "migrate",
-                    track=f"stream:{stream_id}",
+                    track=self._stream_info[stream_id]["track"],
                     parent=fsp,
                     category=CLUSTER_CATEGORY,
                     corr=corr,
@@ -432,7 +437,7 @@ class FrontDoor:
         sp = (
             obs.begin(
                 "handoff",
-                track=f"stream:{stream_id}",
+                track=self._stream_info[stream_id]["track"],
                 category=CLUSTER_CATEGORY,
                 corr=corr,
                 source=source.name,

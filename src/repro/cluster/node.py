@@ -62,6 +62,9 @@ class ClusterNode:
         self.server = cluster.nodes[index]
         self.san_card: I960RDCard = cluster.san_cards[index]
         self.name = self.server.name
+        #: trace tracks of its control executor and its health, built once
+        self.control_track = f"{self.name}:control"
+        self.health_track = f"{self.name}:health"
         #: node-local delivery edge (clients hang off this, not the SAN)
         self.edge = EthernetSwitch(env, name=f"{self.name}.edge")
         self.service = HAStreamingService(env, self.server, self.edge, n_cards=n_cards)
@@ -156,7 +159,7 @@ class ClusterNode:
                 fields["corr"] = corr
             sp = obs.begin(
                 f"ctl:{op}",
-                track=f"{self.name}:control",
+                track=self.control_track,
                 category=CLUSTER_CATEGORY,
                 **fields,
             )

@@ -72,6 +72,8 @@ class ControlChannel:
             raise ValueError("channel latency must be positive")
         self.env = env
         self.name = name
+        #: trace track of the calls over this channel, built once
+        self.track = f"rpc:{name}"
         self.latency_us = latency_us
         self.messages_lost = 0
         self.messages_duplicated = 0
@@ -191,7 +193,7 @@ class ClusterRPC:
                 fields["corr"] = corr
             sp = obs.begin(
                 f"rpc:{op}",
-                track=f"rpc:{channel.name}",
+                track=channel.track,
                 category=CLUSTER_CATEGORY,
                 **fields,
             )

@@ -61,9 +61,9 @@ QueueFactory = Callable[[str], PacketQueue]
 SelectionFactory = Callable[[ArithmeticContext], SelectionStructure]
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
-    """Outcome of one scheduling cycle."""
+    """Outcome of one scheduling cycle (built positionally: one per cycle)."""
 
     #: descriptor chosen for transmission (None if nothing eligible)
     serviced: Optional[FrameDescriptor]
@@ -242,12 +242,7 @@ class DWCSScheduler:
             # No stream has a head-of-line packet: the miss scan, the
             # selection and the release search would find nothing and
             # charge nothing beyond the decision base already charged.
-            return Decision(
-                serviced=None,
-                late=False,
-                dropped=[],
-                ops=self.ops.snapshot_delta(ops_before),
-            )
+            return Decision(None, False, [], self.ops.snapshot_delta(ops_before))
 
         dropped = self._process_misses(now_us)
         entry = self._select_eligible(now_us)
@@ -255,11 +250,7 @@ class DWCSScheduler:
         if entry is None:
             idle_until = self._earliest_release() if not self.work_conserving else None
             return Decision(
-                serviced=None,
-                late=False,
-                dropped=dropped,
-                ops=self.ops.snapshot_delta(ops_before),
-                idle_until=idle_until,
+                None, False, dropped, self.ops.snapshot_delta(ops_before), idle_until
             )
 
         state = self.streams[entry.stream_id]
@@ -285,12 +276,7 @@ class DWCSScheduler:
             state.serviced += 1
             self.stats.serviced += 1
         self._refresh_head(state, queue, entry)
-        return Decision(
-            serviced=desc,
-            late=late,
-            dropped=dropped,
-            ops=self.ops.snapshot_delta(ops_before),
-        )
+        return Decision(desc, late, dropped, self.ops.snapshot_delta(ops_before))
 
     def dispatch_ops(self) -> OpCounter:
         """Charge and return the device-programming cost of one dispatch.

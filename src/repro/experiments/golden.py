@@ -286,7 +286,8 @@ def verify(which: str = "short", verbose: bool = True) -> list[str]:
     return mismatches
 
 
-if __name__ == "__main__":  # pragma: no cover - maintenance CLI
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The maintenance CLI; returns 1 when a verified set mismatches."""
     import argparse
     import sys
 
@@ -300,11 +301,16 @@ if __name__ == "__main__":  # pragma: no cover - maintenance CLI
         help="recompute the set and compare against the pinned digests "
         "(exit 1 on any mismatch)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.refresh:
         refresh(args.refresh)
-    else:
-        bad = verify(args.verify)
-        if bad:
-            print(f"MISMATCHED: {', '.join(bad)}", file=sys.stderr)
-            sys.exit(1)
+        return 0
+    bad = verify(args.verify)
+    if bad:
+        print(f"MISMATCHED: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover - maintenance CLI
+    raise SystemExit(main())

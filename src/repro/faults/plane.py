@@ -82,7 +82,8 @@ class FaultPlane:
         self.rng = RandomStreams(seed)
         #: optional :class:`~repro.sim.Tracer` receiving 'fault' events
         self.tracer = tracer
-        self._windows: list[FaultWindow] = []
+        #: kind -> its windows, in the order added (a check scans its kind only)
+        self._windows: dict[str, list[FaultWindow]] = {}
         #: injections actually fired, by kind (for reports and tests)
         self.injected: dict[str, int] = {}
         env.fault_plane = self
@@ -92,7 +93,7 @@ class FaultPlane:
     def add_window(self, window: FaultWindow) -> FaultWindow:
         if window.end_us <= window.start_us:
             raise ValueError("fault window must have end > start")
-        self._windows.append(window)
+        self._windows.setdefault(window.kind, []).append(window)
         return window
 
     def inject_link_loss(
@@ -340,8 +341,8 @@ class FaultPlane:
     # -- internals ----------------------------------------------------------
     def _active(self, kind: str, name: str) -> Optional[FaultWindow]:
         now = self.env.now
-        for window in self._windows:
-            if window.kind == kind and window.matches(now, name):
+        for window in self._windows.get(kind, ()):
+            if window.matches(now, name):
                 return window
         return None
 
@@ -371,6 +372,7 @@ class FaultPlane:
 
     def __repr__(self) -> str:
         return (
-            f"<FaultPlane seed={self.seed} windows={len(self._windows)} "
+            f"<FaultPlane seed={self.seed} "
+            f"windows={sum(map(len, self._windows.values()))} "
             f"injected={self.total_injected}>"
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 __all__ = ["OpCounter"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCounter:
     """Mutable tally of abstract machine operations.
 

@@ -102,7 +102,7 @@ class Watchdog:
                 obs.count("watchdog.recoveries", card=self.card.name)
                 obs.instant(
                     "watchdog_recovered",
-                    track=f"card:{self.card.name}",
+                    track=self.card.track,
                     card=self.card.name,
                 )
             for callback in list(self.on_recovered):
@@ -138,7 +138,7 @@ class Watchdog:
                 obs.count("watchdog.suspicions", card=self.card.name)
                 obs.instant(
                     "watchdog_probe",
-                    track=f"card:{self.card.name}",
+                    track=self.card.track,
                     card=self.card.name,
                     phi=round(self.phi(), 3),
                 )
@@ -150,7 +150,7 @@ class Watchdog:
                     obs.count("watchdog.deaths_declared", card=self.card.name)
                     obs.instant(
                         "watchdog_dead",
-                        track=f"card:{self.card.name}",
+                        track=self.card.track,
                         card=self.card.name,
                         phi=round(self.phi(), 3),
                     )
@@ -164,7 +164,7 @@ class Watchdog:
                     obs.count("watchdog.partitions", card=self.card.name)
                     obs.instant(
                         "watchdog_partition",
-                        track=f"card:{self.card.name}",
+                        track=self.card.track,
                         card=self.card.name,
                     )
                 for callback in list(self.on_partition):

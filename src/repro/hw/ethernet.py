@@ -13,6 +13,11 @@ switched interconnect". Two latency regimes matter:
 
 The switch is store-and-forward: a frame is fully received on the ingress
 link, then transmitted on the egress link.
+
+Hot path: one generator per hop. :meth:`EthernetPort.send` holds its
+uplink, then :meth:`EthernetSwitch.forward` holds the downlink, each
+driving its :class:`EthernetLink` directly with ``wire_bytes`` computed
+once per frame (the same events as a nested generator per link).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ HOST_STACK = StackCosts(per_packet_us=120.0, per_byte_us=0.04)
 CLIENT_STACK = StackCosts(per_packet_us=250.0, per_byte_us=0.08)
 
 
-@dataclass
+@dataclass(slots=True)
 class NetFrame:
     """A network-layer payload in flight."""
 
@@ -69,7 +74,8 @@ class NetFrame:
 
 
 class EthernetLink:
-    """A half of a switched full-duplex port: one transmit direction."""
+    """A half of a switched full-duplex port: one transmit direction,
+    driven by its port (uplink) or its switch (downlink)."""
 
     def __init__(
         self,
@@ -80,7 +86,6 @@ class EthernetLink:
     ) -> None:
         if bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be positive")
-        self.env = env
         self.name = name
         self.bandwidth_mbps = bandwidth_mbps
         self.propagation_us = propagation_us
@@ -90,16 +95,6 @@ class EthernetLink:
 
     def wire_time_us(self, wire_bytes: int) -> float:
         return wire_bytes * 8.0 / self.bandwidth_mbps  # Mbps == bits/µs
-
-    def transmit(self, wire_bytes: int) -> Generator[Event, None, float]:
-        """Process: serialize *wire_bytes* onto this link; returns latency."""
-        start = self.env.now
-        with self._tx.request() as req:
-            yield req
-            yield self.env.timeout(self.wire_time_us(wire_bytes) + self.propagation_us)
-        self.bytes_sent += wire_bytes
-        self.frames_sent += 1
-        return self.env.now - start
 
 
 class EthernetPort:
@@ -117,10 +112,13 @@ class EthernetPort:
 
     def send(self, frame: NetFrame, dest: str) -> Generator[Event, None, float]:
         """Process: transmit *frame* to port *dest* through the switch."""
-        if self.switch is None:
+        switch = self.switch
+        if switch is None:
             raise RuntimeError(f"port {self.name!r} not attached to a switch")
-        frame.sent_at = self.env.now
-        obs = self.env.obs
+        env = self.env
+        start = frame.sent_at = env.now
+        wire_bytes = frame.wire_bytes
+        obs = env.obs
         sp = None
         if obs is not None:
             fields = {"bytes": frame.payload_bytes, "dest": dest}
@@ -128,13 +126,21 @@ class EthernetPort:
                 fields["stream"] = frame.stream_id
                 fields["seq"] = frame.seqno
             sp = obs.begin("wire", track=self.track, **fields)
-        yield from self.uplink.transmit(frame.wire_bytes)
-        yield from self.switch.forward(frame, dest)
+        uplink = self.uplink
+        req = uplink._tx.request()
+        try:
+            yield req
+            yield env.timeout(uplink.wire_time_us(wire_bytes) + uplink.propagation_us)
+        finally:
+            uplink._tx.release(req)
+        uplink.bytes_sent += wire_bytes
+        uplink.frames_sent += 1
+        yield from switch.forward(frame, dest, wire_bytes)
         if obs is not None:
             obs.end(sp)
             obs.count("net.frames_sent", port=self.name)
-            obs.count("net.wire_bytes", frame.wire_bytes, port=self.name)
-        return self.env.now - frame.sent_at
+            obs.count("net.wire_bytes", wire_bytes, port=self.name)
+        return env.now - start
 
     def receive(self) -> "Event":
         """Event: the next frame delivered to this port."""
@@ -184,29 +190,37 @@ class EthernetSwitch:
         )
         port.switch = self
 
-    def forward(self, frame: NetFrame, dest: str) -> Generator[Event, None, None]:
-        """Process: deliver *frame* out of the switch to port *dest*."""
+    def forward(self, frame: NetFrame, dest: str, wire_bytes: int) -> Generator:
+        """Process: deliver *frame* (*wire_bytes* on the wire) to port *dest*."""
         try:
             port = self._ports[dest]
             downlink = self._downlinks[dest]
         except KeyError:
             raise KeyError(f"no port {dest!r} on switch {self.name!r}") from None
-        yield self.env.timeout(self.latency_us)
-        obs = self.env.obs
+        env = self.env
+        yield env.timeout(self.latency_us)
+        obs = env.obs
         if self.loss_rate > 0.0 and self._loss_rng is not None:
             if self._loss_rng.random() < self.loss_rate:
                 self.frames_dropped += 1
                 if obs is not None:
                     obs.count("switch.frames_dropped", dest=dest)
                 return  # frame vanishes (congestion drop)
-        plane = self.env.fault_plane
+        plane = env.fault_plane
         if plane is not None and plane.frame_lost(dest):
             self.frames_dropped += 1
             if obs is not None:
                 obs.count("switch.frames_dropped", dest=dest)
                 obs.instant("frame_lost", track=self.track, dest=dest)
             return  # injected fault: loss burst or partition
-        yield from downlink.transmit(frame.wire_bytes)
+        req = downlink._tx.request()
+        try:
+            yield req
+            yield env.timeout(downlink.wire_time_us(wire_bytes) + downlink.propagation_us)
+        finally:
+            downlink._tx.release(req)
+        downlink.bytes_sent += wire_bytes
+        downlink.frames_sent += 1
         self.frames_forwarded += 1
         if obs is not None:
             obs.count("switch.frames_forwarded", dest=dest)

@@ -53,6 +53,8 @@ class I960RDCard:
             raise ValueError("i960 RD boards ship with 4..36 MB of local memory")
         self.env = env
         self.name = name
+        #: trace track of this card's crash/reset instants, built once
+        self.track = f"card:{name}"
         self.cache = DataCache(hit_ratio=cache_hit_ratio, enabled=False)
         self.cpu = CPU(cpu_spec, cache=self.cache, name=f"{name}.cpu")
         self.memory = MemoryRegion(memory_mb * MB, name=f"{name}.mem", pinned=True)
@@ -115,7 +117,7 @@ class I960RDCard:
         obs = self.env.obs
         if obs is not None:
             obs.count("nic.crashes", card=self.name)
-            obs.instant("card_crash", track=f"card:{self.name}", card=self.name)
+            obs.instant("card_crash", track=self.track, card=self.name)
         for callback in list(self.on_crash):
             callback()
 
@@ -127,7 +129,7 @@ class I960RDCard:
         obs = self.env.obs
         if obs is not None:
             obs.count("nic.resets", card=self.name)
-            obs.instant("card_reset", track=f"card:{self.name}", card=self.name)
+            obs.instant("card_reset", track=self.track, card=self.name)
         for callback in list(self.on_reset):
             callback()
 

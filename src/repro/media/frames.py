@@ -30,7 +30,7 @@ class FrameType(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class MediaFrame:
     """One MPEG-I frame as produced by the segmenter."""
 

@@ -62,9 +62,9 @@ class TTPError(RuntimeError):
     """Link-level failure (open refused/timed out, link reset, ...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TTPPacket:
-    """One TTP packet in flight."""
+    """One TTP packet in flight (the hot sites build it positionally)."""
 
     kind: str  # 'open'|'open-ack'|'open-nack'|'payload'|'ack'|'nack'|'close'|'close-ack'
     src_host: str
@@ -165,6 +165,8 @@ class TTPLink:
         self._assembling: dict[int, list[TTPPacket]] = {}
         #: in-order application records for the app (dicts like TCP's inbox)
         self.inbox: Store = Store(self.env, name=f"ttp:{local_port}.inbox")
+        #: name of every control-reply process, built once per link
+        self._reply_name = f"ttp:{local_port}.reply"
         #: rcv_next value already NACKed (one NACK per gap instance)
         self._nacked_at: Optional[int] = None
         # -- handshake / teardown events ---------------------------------------
@@ -379,17 +381,13 @@ class TTPLink:
                 if is_last
                 else self.mtu
             )
+            # kind, src_host, src_port, dst_port, tag, seq, ack, credit,
+            # payload_bytes, record_id, record_segments, data
             pkt = TTPPacket(
-                kind="payload",
-                src_host=self.stack.eth_port.name,
-                src_port=self.local_port,
-                dst_port=self.peer_port,
-                tag=self.tag,
-                seq=self._wrap(self._next_seq),
-                payload_bytes=max(1, size),
-                record_id=record.record_id,
-                record_segments=record.n_packets,
-                data=record.data if is_last else None,
+                "payload", self.stack.eth_port.name, self.local_port,
+                self.peer_port, self.tag, self._wrap(self._next_seq), 0, 0,
+                max(1, size), record.record_id, record.n_packets,
+                record.data if is_last else None,
             )
             self._unacked[self._next_seq] = pkt
             self._unacked_records.setdefault(
@@ -497,23 +495,16 @@ class TTPLink:
                 )
 
     def _send_control(self, kind: str) -> None:
+        # kind, src_host, src_port, dst_port, tag, seq, ack, credit
         self._reply(
             TTPPacket(
-                kind=kind,
-                src_host=self.stack.eth_port.name,
-                src_port=self.local_port,
-                dst_port=self.peer_port,
-                tag=self.tag,
-                ack=self._wrap(self._rcv_next),
-                credit=self._advertised_credit(),
+                kind, self.stack.eth_port.name, self.local_port, self.peer_port,
+                self.tag, 0, self._wrap(self._rcv_next), self._advertised_credit(),
             )
         )
 
     def _reply(self, pkt: TTPPacket) -> None:
-        self.env.process(
-            self.stack._transmit(pkt, self.peer_host),
-            name=f"ttp:{self.local_port}.reply",
-        )
+        self.env.process(self.stack._transmit(pkt, self.peer_host), self._reply_name)
 
     def _trace(self, name: str, **fields: Any) -> None:
         tracer = self.stack.tracer
@@ -582,6 +573,8 @@ class TTPStack:
         self.name = name or f"ttp:{eth_port.name}"
         self._listeners: dict[int, Store] = {}
         self._links: dict[tuple[str, int, int], TTPLink] = {}
+        #: destination port -> the ``ttp:{port}`` stream id of its frames
+        self._stream_ids: dict[int, str] = {}
         self.packets_dropped_by_fault = 0
         self.packets_duplicated_by_fault = 0
         self.open_nacks_sent = 0
@@ -710,22 +703,18 @@ class TTPStack:
             self.packets_dropped_by_fault += 1
             self._count("ttp.packets_dropped_by_fault")
             return
-        frame = NetFrame(
-            payload_bytes=pkt.payload_bytes + TTP_HEADER_BYTES,
-            stream_id=f"ttp:{pkt.dst_port}",
-            seqno=pkt.seq,
-            meta=pkt,
+        stream_id = self._stream_ids.get(pkt.dst_port)
+        if stream_id is None:
+            stream_id = self._stream_ids[pkt.dst_port] = f"ttp:{pkt.dst_port}"
+        nbytes = pkt.payload_bytes + TTP_HEADER_BYTES
+        # payload_bytes, stream_id, seqno, sent_at, meta
+        yield from self.eth_port.send(
+            NetFrame(nbytes, stream_id, pkt.seq, 0.0, pkt), dest_host
         )
-        yield from self.eth_port.send(frame, dest_host)
         if plane is not None and plane.message_duplicated(self.name):
             self.packets_duplicated_by_fault += 1
             self._count("ttp.packets_duplicated_by_fault")
-            dup = NetFrame(
-                payload_bytes=pkt.payload_bytes + TTP_HEADER_BYTES,
-                stream_id=f"ttp:{pkt.dst_port}",
-                seqno=pkt.seq,
-                meta=pkt,
-            )
+            dup = NetFrame(nbytes, stream_id, pkt.seq, 0.0, pkt)
             yield from self.eth_port.send(dup, dest_host)
 
     def _demux(self) -> Generator:

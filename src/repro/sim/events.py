@@ -129,33 +129,23 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers *delay* time units after its creation."""
+    """An event that triggers *delay* time units after its creation.
+
+    Built only by :meth:`Environment.timeout
+    <repro.sim.environment.Environment.timeout>`, which skips the class
+    call; its outcome is fixed at creation, but it stays pending until the
+    clock reaches it, so waiters created meanwhile block.
+    """
 
     __slots__ = ()
 
-    def __init__(
-        self, env: "Environment", delay: float, value: Any = None, name: Optional[str] = None
-    ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        # Event.__init__ + _schedule_event inlined: timeouts are created by
-        # the hundred-thousand per run (every compute/sleep/wire delay)
-        self.env = env
-        self.name = name
-        self._state = PENDING
-        self._ok = True
-        self._value = value
-        self.callbacks = []
-        self.defused = False
-        # A timeout's outcome is fixed at creation but it only *triggers*
-        # when the clock reaches it: waiters created meanwhile must block.
-        seq = env._seq = env._seq + 1
-        heappush(env._queue, (env.now + delay, _NORMAL, seq, self))
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise SimulationError("build a Timeout with env.timeout(delay)")
 
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
+    def succeed(self, value: Any = None) -> "Event":
         raise SimulationError("Timeout events trigger themselves")
 
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover - guard
+    def fail(self, exception: BaseException) -> "Event":
         raise SimulationError("Timeout events trigger themselves")
 
 

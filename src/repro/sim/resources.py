@@ -54,9 +54,6 @@ class Request(Event):
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.resource.release(self)
 
-    def _sort_key(self, seq: int) -> tuple[float, float, int]:
-        return (self.priority, self.time, seq)
-
 
 class Resource:
     """A counted resource granting up to ``capacity`` simultaneous claims.
@@ -90,12 +87,13 @@ class Resource:
 
     def request(self, priority: float = 0.0) -> Request:
         """Claim the resource; the returned event triggers when granted."""
-        req = Request(self, priority=priority)
+        req = Request(self, priority)
         self._seq += 1
         if len(self.users) < self.capacity:
-            self._grant(req)
+            self.users.append(req)
+            req.succeed()
         else:
-            heapq.heappush(self._waiters, (req._sort_key(self._seq), req))
+            heapq.heappush(self._waiters, ((priority, req.time, self._seq), req))
         return req
 
     def release(self, request: Request) -> None:
@@ -122,14 +120,11 @@ class Resource:
                     break
 
     # -- internals -------------------------------------------------------------
-    def _grant(self, req: Request) -> None:
-        self.users.append(req)
-        req.succeed()
-
     def _wake(self) -> None:
         while self._waiters and len(self.users) < self.capacity:
             _key, req = heapq.heappop(self._waiters)
-            self._grant(req)
+            self.users.append(req)
+            req.succeed()
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -196,6 +191,11 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         ev = StorePut(self, item)
+        if not self._puts and len(self.items) < self.capacity:
+            # what _dispatch would do: admit it at once, then deposit it
+            ev.succeed()
+            self._deposit(item)
+            return ev
         self._puts.append(ev)
         self._dispatch()
         return ev
@@ -214,15 +214,32 @@ class Store:
                 f"put_nowait into full store {self.name!r} "
                 f"({len(self.items)}/{self.capacity})"
             )
-        self.items.append(item)
-        if self._gets:
-            self._dispatch()
+        self._deposit(item)
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        ev = StoreGet(self, filter=filter)
+        ev = StoreGet(self, filter)
+        items = self.items
+        if not self._puts:  # what _dispatch would do, without the scan
+            if not items:
+                self._gets.append(ev)
+                return ev
+            if filter is None and not self._gets:
+                ev.succeed(items.pop(0))
+                return ev
         self._gets.append(ev)
         self._dispatch()
         return ev
+
+    def _deposit(self, item: Any) -> None:
+        """Add an admitted *item*: straight to a head getter that takes any
+        item when nothing else waits (as :meth:`_dispatch` would)."""
+        gets = self._gets
+        if gets and gets[0].filter is None and not self.items and not self._puts:
+            gets.pop(0).succeed(item)
+            return
+        self.items.append(item)
+        if gets:
+            self._dispatch()
 
     def cancel(self, event: Event) -> None:
         """Withdraw a pending put/get."""

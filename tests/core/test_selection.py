@@ -1,6 +1,5 @@
 """Selection structures: rule order and dual-heaps/linear-scan equivalence."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core import DWCSScheduler, StreamingEngine
 from repro.dvcm import (
     ExtensionModule,
-    I2OMessage,
     MediaSchedulerExtension,
     MessageQueuePair,
     VCMError,

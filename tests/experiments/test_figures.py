@@ -8,11 +8,10 @@ and the delay ramps.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments import run_loading_experiment
-from repro.experiments.figures import LoadedRun, figure9
+from repro.experiments.figures import figure9
 from repro.sim import S
 
 DURATION = 60 * S

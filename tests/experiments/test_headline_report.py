@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import headline, scheduling_overhead
 from repro.experiments.report import ExperimentResult, Row, Series
-from repro.hw.cpu import I960RD_66, ULTRASPARC_300
+from repro.hw.cpu import ULTRASPARC_300
 from repro.server.streaming import HOST_DWCS_COSTS
 
 

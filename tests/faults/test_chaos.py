@@ -87,3 +87,17 @@ class TestExperimentRunner:
         assert "disk-spike: violations" in labels
         assert "disk-spike: faults injected" in labels
         assert any(s.name == "disk-spike:s1:bw" for s in a.series)
+
+
+class TestWirePathWork:
+    def test_ni_over_ttp_cell_keeps_its_events_and_frames(self):
+        """Pinned counts of a short NI-over-TTP cell with link loss. An edit
+        to the wire path that adds or drops an event, or a link crossing,
+        moves them."""
+        cr = run_chaos_scenario("link-burst", duration_us=2 * S, seed=42, transport="ttp")
+        env = cr.plane.env
+        switch = cr.run.service.switch
+        uplinks = sum(port.uplink.frames_sent for port in switch._ports.values())
+        downlinks = sum(link.frames_sent for link in switch._downlinks.values())
+        assert env._seq - len(env._queue) == 4898
+        assert (uplinks, downlinks, switch.frames_dropped) == (272, 258, 14)

@@ -7,7 +7,7 @@ from repro.faults import FaultPlane, FaultWindow
 from repro.hw import DiskMediaError, EthernetPort, EthernetSwitch, I960RDCard, SCSIDisk
 from repro.hw.pci import PCISegment
 from repro.rtos import WindScheduler
-from repro.sim import Environment, S, Tracer
+from repro.sim import Environment, Tracer
 
 
 class TestWindows:

@@ -11,6 +11,7 @@ from repro.hw import (
     I960_STACK,
     NetFrame,
 )
+from repro.faults import FaultPlane
 from repro.sim import Environment
 
 
@@ -23,35 +24,59 @@ def run_process(env, gen):
     return env.run(until=env.process(gen))
 
 
+def _pair(env, **switch_kwargs):
+    switch = EthernetSwitch(env, **switch_kwargs)
+    a, b = EthernetPort(env, "a"), EthernetPort(env, "b")
+    switch.attach(a)
+    switch.attach(b)
+    return switch, a, b
+
+
+#: payload whose frame is 1250 bytes on the wire: 100 µs at 100 Mbps
+PAYLOAD_100US = 1250 - 46
+
+
 class TestLink:
+    """A link is driven by its owner: the port's uplink, the switch's
+    downlink. Each hop holds it for wire time plus propagation."""
+
     def test_full_frame_wire_time_is_about_120us(self, env):
         """Paper yardstick: a full Ethernet frame ≈120 µs on 100 Mbps."""
         link = EthernetLink(env)
         assert link.wire_time_us(1500) == pytest.approx(120.0)
 
     def test_transmit_latency(self, env):
-        link = EthernetLink(env, propagation_us=1.0)
-        latency = run_process(env, link.transmit(1250))
-        assert latency == pytest.approx(100.0 + 1.0)
+        """One frame through an idle switch: exactly up-wire + propagation
+        + switch latency + down-wire + propagation."""
+        switch, a, _b = _pair(env)
+        frame = NetFrame(payload_bytes=PAYLOAD_100US)
+        latency = run_process(env, a.send(frame, "b"))
+        assert latency == 100.0 + 1.0 + switch.latency_us + 100.0 + 1.0
 
     def test_transmissions_serialize(self, env):
-        link = EthernetLink(env)
+        """Two frames sent at once queue on the uplink: the second arrives
+        one uplink hold (wire + propagation) after the first."""
+        _switch, a, _b = _pair(env)
         ends = []
 
         def tx():
-            yield from link.transmit(12500)  # 1000us
+            yield from a.send(NetFrame(payload_bytes=PAYLOAD_100US), "b")
             ends.append(env.now)
 
         env.process(tx())
         env.process(tx())
         env.run()
-        assert ends[1] >= 2 * ends[0] * 0.99
+        assert ends[1] - ends[0] == 100.0 + 1.0
 
     def test_accounting(self, env):
-        link = EthernetLink(env)
-        run_process(env, link.transmit(500))
-        assert link.bytes_sent == 500
-        assert link.frames_sent == 1
+        """Each link a forwarded frame crosses counts it exactly once."""
+        switch, a, _b = _pair(env)
+        frame = NetFrame(payload_bytes=500)
+        run_process(env, a.send(frame, "b"))
+        for link in (a.uplink, switch._downlinks["b"]):
+            assert link.bytes_sent == frame.wire_bytes == 546
+            assert link.frames_sent == 1
+        assert switch._downlinks["a"].frames_sent == 0
 
     def test_invalid_bandwidth(self, env):
         with pytest.raises(ValueError):
@@ -69,16 +94,8 @@ class TestNetFrame:
 
 
 class TestSwitch:
-    def _topology(self, env):
-        switch = EthernetSwitch(env)
-        a = EthernetPort(env, "a")
-        b = EthernetPort(env, "b")
-        switch.attach(a)
-        switch.attach(b)
-        return switch, a, b
-
     def test_end_to_end_delivery(self, env):
-        switch, a, b = self._topology(env)
+        switch, a, b = _pair(env)
         frame = NetFrame(payload_bytes=1000, stream_id="s1", seqno=7)
 
         def sender():
@@ -94,7 +111,7 @@ class TestSwitch:
         assert got.seqno == 7
 
     def test_store_and_forward_latency(self, env):
-        switch, a, b = self._topology(env)
+        switch, a, b = _pair(env)
         frame = NetFrame(payload_bytes=1000)
 
         def sender():
@@ -107,7 +124,7 @@ class TestSwitch:
         assert latency == pytest.approx(2 * wire + switch.latency_us + 2.0, rel=0.01)
 
     def test_unknown_destination_raises(self, env):
-        _switch, a, _b = self._topology(env)
+        _switch, a, _b = _pair(env)
 
         def sender():
             yield from a.send(NetFrame(payload_bytes=10), "nowhere")
@@ -131,8 +148,31 @@ class TestSwitch:
             switch.attach(EthernetPort(env, "x"))
 
     def test_port_names(self, env):
-        switch, a, b = self._topology(env)
+        switch, a, b = _pair(env)
         assert switch.port_names == ["a", "b"]
+
+    @pytest.mark.parametrize("fault", ["loss_rate", "partition"])
+    def test_lost_frame_counts_on_the_uplink_only(self, env, fault):
+        """A frame the switch loses crossed the uplink, never the downlink."""
+        if fault == "loss_rate":
+
+            class AlwaysLose:
+                def random(self):
+                    return 0.0
+
+            switch, a, b = _pair(env, loss_rate=0.5, loss_rng=AlwaysLose())
+        else:
+            switch, a, b = _pair(env)
+            FaultPlane(env).inject_partition("b", 0.0, 1e6)
+        frame = NetFrame(payload_bytes=500)
+        latency = run_process(env, a.send(frame, "b"))
+        wire = 8 * frame.wire_bytes / 100.0
+        assert latency == wire + 1.0 + switch.latency_us
+        assert (a.uplink.frames_sent, a.uplink.bytes_sent) == (1, frame.wire_bytes)
+        assert switch._downlinks["b"].frames_sent == 0
+        assert switch._downlinks["b"].bytes_sent == 0
+        assert switch.frames_dropped == 1 and switch.frames_forwarded == 0
+        assert len(b.inbox) == 0
 
 
 class TestStackCosts:

@@ -12,7 +12,7 @@ import pytest
 from repro.core import DWCSScheduler, StreamingEngine
 from repro.dvcm import MediaSchedulerExtension, MessageQueuePair, VCMInterface, VCMRuntime
 from repro.hw import EthernetPort, EthernetSwitch, I960RDCard, NetFrame, PCISegment
-from repro.media import FrameType, MediaFrame, MPEGClient, MPEGEncoder
+from repro.media import MPEGClient, MPEGEncoder
 from repro.rtos import SolarisHostOS, WindScheduler
 from repro.sim import Environment, RandomStreams, S
 from repro.workload import ApacheServer, Httperf

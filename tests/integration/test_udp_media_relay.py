@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import DWCSScheduler, StreamingEngine, StreamSpec
 from repro.hw import EthernetPort, EthernetSwitch, I960RDCard, NetFrame, PCISegment
-from repro.media import FrameType, MediaFrame, MPEGClient, MPEGEncoder
+from repro.media import MPEGClient, MPEGEncoder
 from repro.net import UDPStack
 from repro.rtos import WindScheduler
 from repro.sim import Environment, RandomStreams, S

@@ -1,7 +1,5 @@
 """Board-resident TCP carrying cluster traffic over a lossy SAN."""
 
-import pytest
-
 from repro.net import TCPStack
 from repro.server import Cluster
 from repro.sim import Environment, RandomStreams, S

@@ -9,7 +9,7 @@ sustained-traffic window/credit invariants.
 import pytest
 
 from repro.faults import FaultPlane
-from repro.hw import EthernetPort, EthernetSwitch, HOST_STACK, I960_STACK
+from repro.hw import EthernetPort, EthernetSwitch, I960_STACK
 from repro.net import TTPError, TTPPacket, TTPStack
 from repro.sim import Environment, RandomStreams, S
 

@@ -1,7 +1,5 @@
 """NI memory accounting and exhaustion (failure injection)."""
 
-import pytest
-
 from repro.core import StreamSpec
 from repro.hw import EthernetSwitch, MB
 from repro.media import MPEGEncoder

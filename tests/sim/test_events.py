@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Environment, SimulationError
+from repro.sim import AnyOf, Environment, SimulationError, Timeout
 
 
 @pytest.fixture
@@ -88,6 +88,28 @@ def test_timeout_cannot_be_retriggered(env):
         t.succeed()
     with pytest.raises(SimulationError):
         t.fail(ValueError())
+
+
+def test_timeout_is_built_by_the_environment_only(env):
+    t = env.timeout(1.0)
+    assert type(t) is Timeout
+    with pytest.raises(SimulationError):
+        Timeout(env, 1.0)
+
+
+def test_timeout_stays_pending_until_the_clock_reaches_it(env):
+    """Its value is fixed at creation, yet a condition built before the
+    clock reaches it must not fire early."""
+    t = env.timeout(5.0, value="t")
+    wakeup = env.event()
+    cond = AnyOf(env, [wakeup, t])
+    assert not t.triggered and not cond.triggered
+    env.run(until=4.0)
+    assert not t.triggered and not cond.triggered
+    env.run(until=cond)
+    assert env.now == 5.0
+    assert t.processed
+    assert cond.value.todict() == {t: "t"}
 
 
 class TestConditions:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import (
+    Environment,
+    Resource,
+    SimulationError,
+    Store,
+    StoreGet,
+    StorePut,
+)
 
 
 @pytest.fixture
@@ -256,3 +263,87 @@ class TestStorePutNowait:
         store.put_nowait(2)
         store.put(3)
         assert [store.get().value for _ in range(3)] == [1, 2, 3]
+
+
+class TestStoreHandOff:
+    """``get`` on a non-empty store, and ``put`` or ``put_nowait`` to a
+    waiting getter, hand the item straight over. They must deliver what the general
+    ``_dispatch`` path delivers: the same items, in the same order, with
+    the same sequence numbers on the event queue."""
+
+    @staticmethod
+    def _dispatched_get(store):
+        ev = StoreGet(store)
+        store._gets.append(ev)
+        store._dispatch()
+        return ev
+
+    @staticmethod
+    def _dispatched_put_nowait(store, item):
+        store.items.append(item)
+        store._dispatch()
+
+    @staticmethod
+    def _queue(env):
+        return sorted((when, prio, seq) for when, prio, seq, _ev in env._queue)
+
+    def test_get_from_non_empty_store(self):
+        runs = []
+        for get in (Store.get, self._dispatched_get):
+            env = Environment()
+            store = Store(env)
+            env.timeout(3.0)
+            for item in "abc":
+                store.put_nowait(item)
+            got = [get(store) for _ in range(2)]
+            runs.append(
+                ([ev.value for ev in got], store.items, env._seq, self._queue(env))
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0] == ["a", "b"] and runs[0][1] == ["c"]
+
+    def test_put_nowait_to_waiting_getters(self):
+        runs = []
+        for put_nowait in (Store.put_nowait, self._dispatched_put_nowait):
+            env = Environment()
+            store = Store(env)
+            first, second = store.get(), store.get()
+            env.timeout(1.0)
+            for item in ("x", "y", "z"):
+                put_nowait(store, item)
+            runs.append(
+                (first.value, second.value, store.items, env._seq, self._queue(env))
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][:3] == ("x", "y", ["z"])
+
+    def test_put_to_waiting_getter(self):
+        def dispatched_put(store, item):
+            ev = StorePut(store, item)
+            store._puts.append(ev)
+            store._dispatch()
+            return ev
+
+        runs = []
+        for put in (Store.put, dispatched_put):
+            env = Environment()
+            store = Store(env)
+            got = store.get()
+            env.timeout(2.0)
+            puts = [put(store, item) for item in ("p", "q")]
+            runs.append(
+                (got.value, [ev.triggered for ev in puts], store.items, env._seq,
+                 self._queue(env))
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][:3] == ("p", [True, True], ["q"])
+
+    def test_filtered_getter_keeps_the_general_path(self, env):
+        store = Store(env)
+        odd = store.get(filter=lambda n: n % 2)
+        store.put_nowait(2)
+        any_item = store.get()
+        assert not odd.triggered
+        assert any_item.value == 2
+        store.put_nowait(3)
+        assert odd.value == 3

@@ -1,5 +1,5 @@
 """Every name a ``repro`` module exports in ``__all__`` resolves, and
-every name a module imports is used.
+every name a module or test module imports is used.
 
 Deleting a class or function while leaving its ``__all__`` string behind
 breaks ``from module import *`` only; a direct import of the other names
@@ -65,11 +65,15 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_imported_name_is_used():
     # a package's __init__ imports names to re-export them
-    modules = [p for p in Path(repro.__path__[0]).rglob("*.py") if p.name != "__init__.py"]
-    assert len(modules) > 50
+    roots = (Path(repro.__path__[0]), Path(__file__).parent)  # src/repro, tests
+    modules = []
+    for root in roots:
+        found = [p for p in root.rglob("*.py") if p.name != "__init__.py"]
+        assert len(found) > 50, root
+        modules += found
     unused = {}
     for path in modules:
         names = unused_imports(path)
         if names:
-            unused[str(path.relative_to(Path(repro.__path__[0]).parent))] = names
+            unused[str(path)] = names
     assert not unused, f"imported names never used: {unused}"

@@ -7,7 +7,9 @@ phases:
 
 1. ``experiments``: each ``REGISTRY`` id through the experiment CLI's
    ``main`` at seed 42 and full duration, with ``--out``; then the CLI's
-   ``--list`` and one ``--seeds 2`` replica run;
+   ``--list``, one ``--seeds 2`` replica run, and the golden CLI's
+   ``--verify short`` (CI's gate; its cells run in worker processes, so
+   only the CLI side is recorded);
 2. ``benchmarks``: ``pytest benchmarks --benchmark-disable``;
 3. ``examples``: each ``examples/*.py``, run as ``__main__``.
 
@@ -66,12 +68,16 @@ def functions() -> dict[tuple[str, int, str], tuple[str, int]]:
 def experiments(log) -> None:
     from repro.experiments import REGISTRY
     from repro.experiments.__main__ import main
+    from repro.experiments.golden import main as golden_main
 
     runs = [[name, "--seed", SEED, "--out", "out"] for name in REGISTRY]
     runs.append(["--list"])
     runs.append(["figure9", "chaos", "--seeds", "2", "--duration", "10000000", "--out", "sweep"])
     for argv in runs:
         _run_main(["python -m repro.experiments", *argv], log, lambda: sys.exit(main(argv)))
+    golden = ["--verify", "short"]
+    _run_main(["python -m repro.experiments.golden", *golden], log,
+              lambda: sys.exit(golden_main(golden)))
 
 
 def _run_main(argv: list[str], log, run) -> None:
