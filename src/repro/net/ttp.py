@@ -165,8 +165,6 @@ class TTPLink:
         self._assembling: dict[int, list[TTPPacket]] = {}
         #: in-order application records for the app (dicts like TCP's inbox)
         self.inbox: Store = Store(self.env, name=f"ttp:{local_port}.inbox")
-        #: name of every control-reply process, built once per link
-        self._reply_name = f"ttp:{local_port}.reply"
         #: rcv_next value already NACKed (one NACK per gap instance)
         self._nacked_at: Optional[int] = None
         # -- handshake / teardown events ---------------------------------------
@@ -504,7 +502,10 @@ class TTPLink:
         )
 
     def _reply(self, pkt: TTPPacket) -> None:
-        self.env.process(self.stack._transmit(pkt, self.peer_host), self._reply_name)
+        self.env.process(
+            self.stack._transmit(pkt, self.peer_host),
+            name=f"ttp:{self.local_port}.reply",
+        )
 
     def _trace(self, name: str, **fields: Any) -> None:
         tracer = self.stack.tracer
@@ -573,8 +574,6 @@ class TTPStack:
         self.name = name or f"ttp:{eth_port.name}"
         self._listeners: dict[int, Store] = {}
         self._links: dict[tuple[str, int, int], TTPLink] = {}
-        #: destination port -> the ``ttp:{port}`` stream id of its frames
-        self._stream_ids: dict[int, str] = {}
         self.packets_dropped_by_fault = 0
         self.packets_duplicated_by_fault = 0
         self.open_nacks_sent = 0
@@ -703,9 +702,7 @@ class TTPStack:
             self.packets_dropped_by_fault += 1
             self._count("ttp.packets_dropped_by_fault")
             return
-        stream_id = self._stream_ids.get(pkt.dst_port)
-        if stream_id is None:
-            stream_id = self._stream_ids[pkt.dst_port] = f"ttp:{pkt.dst_port}"
+        stream_id = f"ttp:{pkt.dst_port}"
         nbytes = pkt.payload_bytes + TTP_HEADER_BYTES
         # payload_bytes, stream_id, seqno, sent_at, meta
         yield from self.eth_port.send(

@@ -94,9 +94,11 @@ class Process(Event):
             # time step, or a stale target fired; nothing to do.
             return
         # Detach from the previous target: necessary when an interrupt
-        # arrives while the old target is still pending.
+        # arrives while the old target is still pending. A processed target
+        # has no callbacks left (run(until=...) can stop the loop before
+        # this process's callback ran).
         target = self._target
-        if target is not None and target is not event:
+        if target is not None and target is not event and target._state != 2:
             try:
                 target.callbacks.remove(self._resume_cb)
             except ValueError:

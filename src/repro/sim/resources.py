@@ -218,16 +218,9 @@ class Store:
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         ev = StoreGet(self, filter)
-        items = self.items
-        if not self._puts:  # what _dispatch would do, without the scan
-            if not items:
-                self._gets.append(ev)
-                return ev
-            if filter is None and not self._gets:
-                ev.succeed(items.pop(0))
-                return ev
         self._gets.append(ev)
-        self._dispatch()
+        if self.items or self._puts:  # else _dispatch would find nothing
+            self._dispatch()
         return ev
 
     def _deposit(self, item: Any) -> None:

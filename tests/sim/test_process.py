@@ -211,3 +211,29 @@ class TestInterrupt:
         env.process(attacker())
         assert env.run(until=v) == "late"
         assert env.now == 50.0
+
+    def test_interrupt_after_run_stopped_on_the_awaited_event(self, env):
+        """``run(until=ev)`` registers its stop callback before a process
+        that later waits on ``ev``: the loop stops before that process
+        resumes, so it still names the processed ``ev`` as its target. An
+        interrupt must still reach it."""
+        ev = env.event()
+
+        def waiter():
+            try:
+                yield ev
+            except Interrupt as i:
+                return ("interrupted", i.cause, env.now)
+            return ("resumed", None, env.now)
+
+        w = env.process(waiter())
+
+        def trigger():
+            yield env.timeout(1.0)
+            ev.succeed("x")
+
+        env.process(trigger())
+        assert env.run(until=ev) == "x"
+        assert w.is_alive
+        w.interrupt("late")
+        assert env.run(until=w) == ("interrupted", "late", 1.0)

@@ -266,8 +266,9 @@ class TestStorePutNowait:
 
 
 class TestStoreHandOff:
-    """``get`` on a non-empty store, and ``put`` or ``put_nowait`` to a
-    waiting getter, hand the item straight over. They must deliver what the general
+    """``put`` or ``put_nowait`` to a waiting getter hands the item straight
+    over, and ``get`` skips ``_dispatch`` on an empty store. ``get`` on a
+    non-empty store and both hand-offs must deliver what the general
     ``_dispatch`` path delivers: the same items, in the same order, with
     the same sequence numbers on the event queue."""
 
